@@ -70,8 +70,8 @@ int main(int argc, char** argv) {
   cfg.num_categories = 6;
   cfg.horizon_days = 150;
   Database db = MakeECommerceDb(cfg);
-  DbGraph dbg = BuildDbGraph(db).value();
-  const NodeTypeId users = dbg.graph.FindNodeType("users").value();
+  auto dbg = std::make_shared<DbGraph>(BuildDbGraph(db).value());
+  const NodeTypeId users = dbg->graph.FindNodeType("users").value();
 
   const char* kQuery =
       "PREDICT COUNT(orders) = 0 OVER NEXT 28 DAYS FOR EACH users";
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
 
   auto make_trainer = [&] {
     return std::make_unique<GnnNodePredictor>(
-        &dbg.graph, users, TaskKind::kBinaryClassification, 2, gnn, sopts,
+        &dbg->graph, users, TaskKind::kBinaryClassification, 2, gnn, sopts,
         tc);
   };
   const double train_rows =
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
     ServeOptions off;
     off.enable_subgraph_cache = false;
     off.enable_embedding_cache = false;
-    InferenceEngine engine(&dbg.graph, users,
+    InferenceEngine engine(SharedGraph(dbg), users,
                            TaskKind::kBinaryClassification, 2, gnn, sopts,
                            now, off);
     if (!engine.LoadCheckpoint(ckpt).ok()) return 1;
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   }
   {
     // Warm serving: embedding cache hot, requests reduce to head forwards.
-    InferenceEngine engine(&dbg.graph, users,
+    InferenceEngine engine(SharedGraph(dbg), users,
                            TaskKind::kBinaryClassification, 2, gnn, sopts,
                            now);
     if (!engine.LoadCheckpoint(ckpt).ok()) return 1;

@@ -86,17 +86,17 @@ void RunTask(const TaskSetup& task, const Database& db,
   auto split = MakeSplit(rq, table, cutoffs).value();
   const EvalBatch eval = TestBatch(table, split);
 
-  auto dbg = BuildDbGraph(db).value();
+  auto dbg = std::make_shared<DbGraph>(BuildDbGraph(db).value());
   GraphBuilderOptions qopts;
   qopts.quantize_features = true;
-  auto qdbg = BuildDbGraph(db, qopts).value();
+  auto qdbg = std::make_shared<DbGraph>(BuildDbGraph(db, qopts).value());
   const NodeTypeId entity =
-      dbg.graph.FindNodeType(table.entity_table).value();
+      dbg->graph.FindNodeType(table.entity_table).value();
 
   TrainerConfig tc;
   tc.epochs = 6;
   tc.seed = 3;
-  GnnNodePredictor trainer(&dbg.graph, entity, table.kind,
+  GnnNodePredictor trainer(&dbg->graph, entity, table.kind,
                            table.num_classes, ModelConfig(), SamplerConfig(),
                            tc);
   if (!trainer.Fit(table, split).ok()) {
@@ -109,7 +109,7 @@ void RunTask(const TaskSetup& task, const Database& db,
 
   double fp32_metric = 0.0;
   for (const bool quantized_graph : {false, true}) {
-    const HeteroGraph* graph = quantized_graph ? &qdbg.graph : &dbg.graph;
+    const auto graph = SharedGraph(quantized_graph ? qdbg : dbg);
     for (Precision p :
          {Precision::kFp32, Precision::kBf16, Precision::kInt8}) {
       ServeOptions serve;

@@ -176,13 +176,13 @@ int main(int argc, char** argv) {
   auto cutoffs = MakeCutoffs(rq, db).value();
   auto table = BuildTrainingTable(rq, db, cutoffs).value();
   auto split = MakeSplit(rq, table, cutoffs).value();
-  auto dbg = BuildDbGraph(db).value();
-  const NodeTypeId users = dbg.graph.FindNodeType("users").value();
+  auto dbg = std::make_shared<DbGraph>(BuildDbGraph(db).value());
+  const NodeTypeId users = dbg->graph.FindNodeType("users").value();
 
   TrainerConfig tc;
   tc.epochs = 2;
   tc.seed = 3;
-  GnnNodePredictor trainer(&dbg.graph, users,
+  GnnNodePredictor trainer(&dbg->graph, users,
                            TaskKind::kBinaryClassification, 2, ModelConfig(),
                            SamplerConfig(), tc);
   if (!trainer.Fit(table, split).ok()) return 1;
@@ -192,8 +192,8 @@ int main(int argc, char** argv) {
   const Timestamp now = db.TimeRange().second + 1;
   auto make_engine = [&](const ServeOptions& serve) {
     auto engine = std::make_unique<InferenceEngine>(
-        &dbg.graph, users, TaskKind::kBinaryClassification, 2, ModelConfig(),
-        SamplerConfig(), now, serve);
+        SharedGraph(dbg), users, TaskKind::kBinaryClassification, 2,
+        ModelConfig(), SamplerConfig(), now, serve);
     if (!engine->LoadCheckpoint(ckpt).ok()) std::exit(1);
     return engine;
   };

@@ -107,13 +107,13 @@ int main(int argc, char** argv) {
   auto cutoffs = MakeCutoffs(rq, db).value();
   auto table = BuildTrainingTable(rq, db, cutoffs).value();
   auto split = MakeSplit(rq, table, cutoffs).value();
-  auto dbg = BuildDbGraph(db).value();
-  const NodeTypeId users = dbg.graph.FindNodeType("users").value();
+  auto dbg = std::make_shared<DbGraph>(BuildDbGraph(db).value());
+  const NodeTypeId users = dbg->graph.FindNodeType("users").value();
 
   TrainerConfig tc;
   tc.epochs = 2;
   tc.seed = 3;
-  GnnNodePredictor trainer(&dbg.graph, users,
+  GnnNodePredictor trainer(&dbg->graph, users,
                            TaskKind::kBinaryClassification, 2, ModelConfig(),
                            SamplerConfig(), tc);
   if (!trainer.Fit(table, split).ok()) return 1;
@@ -123,16 +123,16 @@ int main(int argc, char** argv) {
               static_cast<long long>(cfg.num_users));
 
   const Timestamp now = db.TimeRange().second + 1;
-  auto make_engine_on = [&](const HeteroGraph* graph,
+  auto make_engine_on = [&](std::shared_ptr<const HeteroGraph> graph,
                             const ServeOptions& serve) {
     auto engine = std::make_unique<InferenceEngine>(
-        graph, users, TaskKind::kBinaryClassification, 2, ModelConfig(),
-        SamplerConfig(), now, serve);
+        std::move(graph), users, TaskKind::kBinaryClassification, 2,
+        ModelConfig(), SamplerConfig(), now, serve);
     if (!engine->LoadCheckpoint(ckpt).ok()) std::exit(1);
     return engine;
   };
   auto make_engine = [&](const ServeOptions& serve) {
-    return make_engine_on(&dbg.graph, serve);
+    return make_engine_on(SharedGraph(dbg), serve);
   };
 
   ServeOptions cold_opts;
@@ -237,11 +237,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto dbstream = std::move(dbstream_result).value();
-  // The engine tracks graph epochs by raw pointer; hold the base epoch so
-  // it outlives the snapshot that references it (the stream drops its own
-  // reference at the first publish).
-  const auto base_epoch = dbstream->graph();
-  auto delta_engine = make_engine_on(base_epoch.get(), warm_opts);
+  auto delta_engine = make_engine_on(dbstream->graph(), warm_opts);
   std::vector<int64_t> all_users(static_cast<size_t>(cfg.num_users));
   for (int64_t i = 0; i < cfg.num_users; ++i) {
     all_users[static_cast<size_t>(i)] = i;
@@ -338,7 +334,7 @@ int main(int argc, char** argv) {
   // Refreshed scores must still be bit-identical to a cold engine built
   // directly on the new epoch — surviving cache entries are only allowed
   // to survive because their inputs did not change.
-  auto fresh = make_engine_on(order_apply.value().graph.get(), cold_opts);
+  auto fresh = make_engine_on(order_apply.value().graph, cold_opts);
   const auto want_fresh = fresh->Score(all_users).value();
   const auto got_fresh = delta_engine->Score(all_users).value();
   for (size_t i = 0; i < want_fresh.size(); ++i) {

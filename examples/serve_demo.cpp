@@ -8,7 +8,7 @@
 // 3. build an InferenceEngine from the plan, load the checkpoint, warm the
 //    caches for the hottest users;
 // 4. serve scoring requests and print cache/latency statistics;
-// 5. advance to a fresh graph snapshot and keep serving.
+// 5. publish a fresh graph snapshot and keep serving.
 //
 // Run: ./build/examples/serve_demo [output_dir]
 
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/deadline.h"
 #include "core/rng.h"
 #include "core/timer.h"
 #include "datagen/ecommerce.h"
@@ -47,7 +48,7 @@ void PrintStats(const InferenceEngine& engine) {
       static_cast<long long>(s.subgraph_misses),
       static_cast<long long>(s.embedding_hits),
       static_cast<long long>(s.embedding_misses),
-      static_cast<long long>(s.snapshot_version));
+      static_cast<long long>(engine.snapshot_version()));
 }
 
 }  // namespace
@@ -83,9 +84,10 @@ int main(int argc, char** argv) {
     TrainerConfig tc;
     tc.epochs = 4;
     tc.seed = plan.value().seed;
-    GnnNodePredictor trainer(plan.value().graph, plan.value().entity_type,
-                             plan.value().kind, plan.value().num_classes,
-                             plan.value().gnn, plan.value().sampler, tc);
+    GnnNodePredictor trainer(plan.value().graph.get(),
+                             plan.value().entity_type, plan.value().kind,
+                             plan.value().num_classes, plan.value().gnn,
+                             plan.value().sampler, tc);
     if (!trainer.Fit(table, split).ok()) return 1;
     if (!trainer.SaveWeights(ckpt_path).ok()) return 1;
     std::printf("trained (val %.4f) -> %s\n", trainer.best_val_metric(),
@@ -93,6 +95,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- online: engine from the plan + checkpoint ------------------------
+  // The plan shares ownership of the query engine's graph, so the engine
+  // stays valid even if `pq` goes away first.
   ServeOptions serve;
   serve.micro_batch_size = 16;
   InferenceEngine engine(plan.value(), serve);
@@ -108,26 +112,31 @@ int main(int argc, char** argv) {
   std::printf("warmed %zu hottest users\n", hottest.size());
   PrintStats(engine);
 
-  // Serve a Zipfian request stream (hot users dominate, like production).
+  // Serve a Zipfian request stream (hot users dominate, like production)
+  // through the full-policy entry point: each request carries its own
+  // deadline and answers an out-of-range id as a NaN row instead of
+  // failing the whole request.
   Rng traffic(42);
   Timer timer;
   for (int r = 0; r < 50; ++r) {
-    std::vector<int64_t> req;
+    ScoreRequest req;
     for (int i = 0; i < 8; ++i) {
-      req.push_back(traffic.PowerLawIndex(static_cast<int>(cfg.num_users),
-                                          1.1));
+      req.entity_ids.push_back(
+          traffic.PowerLawIndex(static_cast<int>(cfg.num_users), 1.1));
     }
-    auto scores = engine.Score(req);
-    if (!scores.ok()) {
+    req.deadline = Deadline::AfterMillis(250.0);
+    req.invalid_id_policy = InvalidIdPolicy::kNanRow;
+    auto resp = engine.ScoreWithOptions(req);
+    if (!resp.ok()) {
       std::fprintf(stderr, "score failed: %s\n",
-                   scores.status().ToString().c_str());
+                   resp.status().ToString().c_str());
       return 1;
     }
     if (r == 0) {
       std::printf("first request:");
-      for (size_t i = 0; i < req.size(); ++i) {
-        std::printf(" u%lld=%.3f", static_cast<long long>(req[i]),
-                    scores.value()[i]);
+      for (size_t i = 0; i < req.entity_ids.size(); ++i) {
+        std::printf(" u%lld=%.3f", static_cast<long long>(req.entity_ids[i]),
+                    resp.value().scores[i]);
       }
       std::printf("\n");
     }
@@ -135,17 +144,19 @@ int main(int argc, char** argv) {
   std::printf("served 50 requests in %.1f ms\n", timer.Millis());
   PrintStats(engine);
 
-  // ---- a new day of data arrives: advance the snapshot ------------------
+  // ---- a new day of data arrives: publish a fresh snapshot --------------
   // (Here the "fresh" snapshot is an independent rebuild of the same
-  // database; production would rebuild from the updated DB.)
-  auto fresh = BuildDbGraph(db).value();
-  if (Status st = engine.AdvanceSnapshot(&fresh.graph,
-                                         db.TimeRange().second + 1);
+  // database; production would rebuild from the updated DB, or stream
+  // appends through StreamingDbGraph and pass each epoch's GraphDelta.)
+  // With no delta the engine invalidates its caches wholesale.
+  auto fresh = std::make_shared<DbGraph>(BuildDbGraph(db).value());
+  if (Status st = engine.ApplyDelta(SharedGraph(fresh),
+                                    db.TimeRange().second + 1, {});
       !st.ok()) {
-    std::fprintf(stderr, "advance failed: %s\n", st.ToString().c_str());
+    std::fprintf(stderr, "publish failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("advanced snapshot; caches invalidated, serving continues\n");
+  std::printf("published snapshot; caches invalidated, serving continues\n");
   auto after = engine.Score(hottest);
   if (!after.ok()) return 1;
   std::printf("re-scored %zu warmed users on the new snapshot\n",

@@ -13,6 +13,8 @@
 #                            # crash-free and race-free while faults fire)
 #   scripts/ci.sh all        # default full + nosimd + asan + tsan + chaos
 #
+# Every mode first prints the src/ line count (scripts/src_loc.sh).
+#
 # Test lanes are ctest labels (see tests/CMakeLists.txt): unit |
 # baselines | integration | serve | serve_mt | streaming | quant | chaos |
 # slow.
@@ -22,6 +24,9 @@ cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
 MODE="${1:-default}"
+
+# Library size, reported the same way on every run (see scripts/src_loc.sh).
+scripts/src_loc.sh
 
 run_preset() {
   local preset="$1"

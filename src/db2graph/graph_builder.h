@@ -2,6 +2,7 @@
 #define RELGRAPH_DB2GRAPH_GRAPH_BUILDER_H_
 
 #include <map>
+#include <memory>
 #include <string>
 
 #include "db2graph/feature_encoder.h"
@@ -91,6 +92,13 @@ struct DbGraph {
 /// errors here too.
 Result<DbGraph> BuildDbGraph(const Database& db,
                              const GraphBuilderOptions& options = {});
+
+/// `dbg`'s graph as a shared_ptr that keeps the whole DbGraph alive — the
+/// ownership InferenceEngine and ServePlan take.
+inline std::shared_ptr<const HeteroGraph> SharedGraph(
+    const std::shared_ptr<const DbGraph>& dbg) {
+  return std::shared_ptr<const HeteroGraph>(dbg, &dbg->graph);
+}
 
 }  // namespace relgraph
 

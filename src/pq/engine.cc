@@ -179,7 +179,7 @@ Result<const DbGraph*> PredictiveQueryEngine::Graph() {
   if (!graph_) {
     RELGRAPH_TRACE_SPAN("pq/graph_build");
     RELGRAPH_ASSIGN_OR_RETURN(DbGraph g, BuildDbGraph(*db_, options_.graph));
-    graph_ = std::make_unique<DbGraph>(std::move(g));
+    graph_ = std::make_shared<DbGraph>(std::move(g));
   }
   return static_cast<const DbGraph*>(graph_.get());
 }
@@ -404,7 +404,7 @@ Result<ServePlan> PredictiveQueryEngine::CompileForServing(
   plan.num_classes = rq.num_classes;
   plan.entity_table = rq.entity->name();
   plan.entity_type = dbg->type_of(rq.entity->name());
-  plan.graph = &dbg->graph;
+  plan.graph = SharedGraph(graph_);
   TrainerConfig tc;
   RELGRAPH_RETURN_IF_ERROR(ParseGnnOptions(parsed.model_options, options_,
                                            &plan.gnn, &plan.sampler, &tc));

@@ -28,9 +28,10 @@ struct ServePlan {
   std::string entity_table;
   NodeTypeId entity_type = 0;
 
-  /// The engine's lazily-built graph view (owned by the engine; the plan
-  /// is valid while the engine lives).
-  const HeteroGraph* graph = nullptr;
+  /// The engine's lazily-built graph view. Shares ownership with the
+  /// PredictiveQueryEngine, so the plan (and every InferenceEngine built
+  /// from it) stays valid after the query engine is gone.
+  std::shared_ptr<const HeteroGraph> graph;
 
   GnnConfig gnn;
   SamplerOptions sampler;
@@ -185,7 +186,7 @@ class PredictiveQueryEngine {
 
   const Database* db_;
   EngineOptions options_;
-  std::unique_ptr<DbGraph> graph_;
+  std::shared_ptr<DbGraph> graph_;
   bool validated_ = false;
   bool degraded_ = false;
   Status db_status_;

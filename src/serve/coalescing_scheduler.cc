@@ -4,6 +4,7 @@
 
 #include "core/logging.h"
 #include "core/metrics.h"
+#include "core/trace.h"
 
 namespace relgraph {
 
@@ -68,7 +69,6 @@ void CoalescingScheduler::JoinLocked(Batch* batch, Member* member,
 
 void CoalescingScheduler::ScatterLocked(Batch* batch,
                                         const Result<ScoreResponse>& result) {
-  const InvalidIdPolicy policy = engine_->serve_options().invalid_id_policy;
   for (Member* m : batch->members) {
     if (!result.ok()) {
       // Whole-batch failures (unloaded engine, breaker-open fail_fast
@@ -97,7 +97,13 @@ void CoalescingScheduler::ScatterLocked(Batch* batch,
     r.state = br.state;
     r.snapshot_version = br.snapshot_version;
     r.staleness_s = br.staleness_s;
-    r.queue_wait_ms = br.queue_wait_ms;
+    // Time spent gathering and waiting behind earlier batches, plus the
+    // engine's own admission wait.
+    r.queue_wait_ms =
+        br.queue_wait_ms +
+        std::chrono::duration<double, std::milli>(batch->exec_start -
+                                                  m->joined_at)
+            .count();
     r.scores.resize(k);
     r.row_flags.resize(k);
     bool reject = false;
@@ -108,7 +114,7 @@ void CoalescingScheduler::ScatterLocked(Batch* batch,
       const uint8_t flag = br.row_flags[row];
       r.row_flags[i] = flag;
       if (flag == kRowInvalid) {
-        if (policy == InvalidIdPolicy::kReject) {
+        if (m->request->invalid_id_policy == InvalidIdPolicy::kReject) {
           reject = true;
           reject_id = ids[i];
         } else {
@@ -122,7 +128,7 @@ void CoalescingScheduler::ScatterLocked(Batch* batch,
       m->failed = true;
       m->error = Status::InvalidArgument(
           "entity id " + std::to_string(reject_id) +
-          " out of range (rejected per engine policy)");
+          " out of range (rejected per request policy)");
       m->done = true;
       continue;
     }
@@ -153,6 +159,7 @@ Result<ScoreResponse> CoalescingScheduler::Score(
   member.deadline = request.deadline;
 
   std::unique_lock<std::mutex> lock(mu_);
+  member.joined_at = std::chrono::steady_clock::now();
   // The fingerprint inputs are pinned once per join; if the snapshot
   // advances between join and execution the batch still executes as one
   // unit against whatever snapshot is then current — identical to what
@@ -165,7 +172,7 @@ Result<ScoreResponse> CoalescingScheduler::Score(
   Batch* batch;
   if (open_ == nullptr) {
     owned = std::make_unique<Batch>();
-    owned->opened_at = std::chrono::steady_clock::now();
+    owned->opened_at = member.joined_at;
     open_ = owned.get();
     batch = owned.get();
   } else {
@@ -213,19 +220,26 @@ Result<ScoreResponse> CoalescingScheduler::Score(
   // comes from even with a zero gather window.
   exec_cv_.wait(lock, [&] { return !exec_inflight_; });
   exec_inflight_ = true;
-  const std::vector<int64_t> rows = batch->rows;
-  const Deadline exec_deadline = batch->exec_deadline;
+  batch->exec_start = std::chrono::steady_clock::now();
+  // kNanRow: an invalid row must NaN only itself, never fail its
+  // batch-mates; each member's own policy is re-applied at scatter.
+  ScoreRequest exec;
+  exec.entity_ids = batch->rows;
+  exec.deadline = batch->exec_deadline;
+  exec.invalid_id_policy = InvalidIdPolicy::kNanRow;
   lock.unlock();
-  Result<ScoreResponse> result =
-      engine_->ScoreForCoalescing(rows, exec_deadline);
+  Result<ScoreResponse> result = [&] {
+    RELGRAPH_TRACE_SPAN("serve/score_coalesced");
+    return engine_->ScoreWithOptions(exec);
+  }();
   lock.lock();
   exec_inflight_ = false;
   exec_cv_.notify_one();
 
   ScatterLocked(batch, result);
+  const int64_t rows = static_cast<int64_t>(exec.entity_ids.size());
   batches_.fetch_add(1, std::memory_order_relaxed);
-  rows_executed_.fetch_add(static_cast<int64_t>(rows.size()),
-                           std::memory_order_relaxed);
+  rows_executed_.fetch_add(rows, std::memory_order_relaxed);
   if (batch->members.size() > 1) {
     coalesced_requests_.fetch_add(
         static_cast<int64_t>(batch->members.size()),
@@ -235,7 +249,7 @@ Result<ScoreResponse> CoalescingScheduler::Score(
   }
   RELGRAPH_COUNTER_INC("serve_coalesce_batches_total");
   RELGRAPH_COUNTER_ADD("serve_coalesce_dedup_rows_total", batch->dedup);
-  NoteBatchRows(static_cast<int64_t>(rows.size()));
+  NoteBatchRows(rows);
   done_cv_.notify_all();
 
   if (member.failed) return member.error;

@@ -55,7 +55,7 @@ struct CoalesceStats {
 /// company (or until the batch hits `max_batch_rows`, or a member joins
 /// with deadline slack under `deadline_margin_ms`); followers joining a
 /// gathering batch just park. The leader then executes the merged unique
-/// row set through InferenceEngine::ScoreForCoalescing — batches are
+/// row set through InferenceEngine::ScoreWithOptions — batches are
 /// serialized, so callers arriving during an in-flight batch accumulate
 /// into the next one, which is where most coalescing comes from under
 /// load — and scatters each member's rows back with that member's own
@@ -79,10 +79,14 @@ struct CoalesceStats {
 /// deadline is already expired at enqueue is refused before joining.
 ///
 /// Invalid ids: the batch always executes under InvalidIdPolicy::kNanRow
-/// so one member's bad id can only NaN its own row; at scatter the
-/// engine's configured policy is re-applied per member (a kReject member
-/// with an invalid row gets InvalidArgument, its batch-mates are
+/// so one member's bad id can only NaN its own row; at scatter each
+/// member's own ScoreRequest::invalid_id_policy is re-applied (a kReject
+/// member with an invalid row gets InvalidArgument, its batch-mates are
 /// unaffected).
+///
+/// Queue wait: each response's queue_wait_ms is the member's time from
+/// joining its batch to that batch's execution start (gather window plus
+/// waiting behind the in-flight batch), plus the engine's admission wait.
 class CoalescingScheduler {
  public:
   /// `engine` must outlive the scheduler and have its checkpoint loaded
@@ -107,6 +111,7 @@ class CoalescingScheduler {
     const ScoreRequest* request = nullptr;
     std::vector<size_t> row_idx;  // request position -> batch row
     Deadline deadline;
+    std::chrono::steady_clock::time_point joined_at;
     bool done = false;
     bool failed = false;
     Status error = Status::OK();
@@ -124,6 +129,7 @@ class CoalescingScheduler {
     bool near_deadline = false;
     bool closed = false;  // no more joins; leader is flushing
     std::chrono::steady_clock::time_point opened_at;
+    std::chrono::steady_clock::time_point exec_start;  // engine call begins
   };
 
   /// Registers `member`'s rows into `batch` (mu_ held): dedups by
@@ -134,7 +140,7 @@ class CoalescingScheduler {
 
   /// Maps the batch result back onto every member (mu_ held): per-member
   /// row gather, per-member deadline/invalid-id policy, per-member
-  /// degrade metadata.
+  /// degrade metadata and queue wait.
   void ScatterLocked(Batch* batch, const Result<ScoreResponse>& result);
 
   InferenceEngine* engine_;

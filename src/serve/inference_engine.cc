@@ -167,7 +167,7 @@ const char* DegradeReasonName(DegradeReason reason) {
   return "unknown";
 }
 
-InferenceEngine::InferenceEngine(const HeteroGraph* graph,
+InferenceEngine::InferenceEngine(std::shared_ptr<const HeteroGraph> graph,
                                  NodeTypeId entity_type, TaskKind kind,
                                  int64_t num_classes, const GnnConfig& gnn,
                                  const SamplerOptions& sampler_options,
@@ -204,14 +204,16 @@ InferenceEngine::InferenceEngine(const HeteroGraph* graph,
                                  std::memory_order_relaxed);
   auto snap = std::make_shared<EngineSnapshot>();
   snap->graph = graph;
-  snap->sampler = std::make_unique<NeighborSampler>(graph, sampler_options_);
+  snap->sampler =
+      std::make_unique<NeighborSampler>(graph.get(), sampler_options_);
   snap->now_cutoff = now_cutoff;
-  snap->version = 0;
   snapshot_.store(std::shared_ptr<const EngineSnapshot>(std::move(snap)));
-  // Weight init is placeholder — LoadCheckpoint publishes a fresh state.
+  // Weight init is placeholder (epoch 0, never scores) — LoadCheckpoint
+  // publishes a fresh state.
   auto state = std::make_shared<ModelState>();
   Rng init_rng(serve_.seed);
-  state->model = std::make_unique<HeteroSageModel>(graph, gnn_, &init_rng);
+  state->model =
+      std::make_unique<HeteroSageModel>(graph.get(), gnn_, &init_rng);
   if (kind_ == TaskKind::kMulticlassClassification) {
     state->cls_head = std::make_unique<ClassificationHead>(
         gnn_.hidden_dim, num_classes_, &init_rng);
@@ -220,29 +222,7 @@ InferenceEngine::InferenceEngine(const HeteroGraph* graph,
         std::make_unique<ScalarHead>(gnn_.hidden_dim, &init_rng);
   }
   model_.store(std::shared_ptr<const ModelState>(std::move(state)));
-  NoteBytesPerNode(SnapshotBytesPerNode(graph));
-}
-
-InferenceEngine::InferenceEngine(std::shared_ptr<const HeteroGraph> graph,
-                                 NodeTypeId entity_type, TaskKind kind,
-                                 int64_t num_classes, const GnnConfig& gnn,
-                                 const SamplerOptions& sampler_options,
-                                 Timestamp now_cutoff,
-                                 const ServeOptions& serve)
-    : InferenceEngine(graph.get(), entity_type, kind, num_classes, gnn,
-                      sampler_options, now_cutoff, serve) {
-  // Re-publish the initial snapshot with shared ownership of the epoch.
-  // Construction is single-threaded, so no reader can hold the plain
-  // snapshot the delegated constructor stored.
-  const std::shared_ptr<const EngineSnapshot> current = PinSnapshot();
-  auto snap = std::make_shared<EngineSnapshot>();
-  snap->graph = graph.get();
-  snap->owned = std::move(graph);
-  snap->sampler =
-      std::make_unique<NeighborSampler>(snap->graph, sampler_options_);
-  snap->now_cutoff = current->now_cutoff;
-  snap->version = current->version;
-  snapshot_.store(std::shared_ptr<const EngineSnapshot>(std::move(snap)));
+  NoteBytesPerNode(SnapshotBytesPerNode(graph.get()));
 }
 
 InferenceEngine::InferenceEngine(const ServePlan& plan,
@@ -274,7 +254,7 @@ Status InferenceEngine::LoadCheckpoint(const std::string& path) {
   auto next = std::make_shared<ModelState>();
   Rng init_rng(serve_.seed);
   next->model =
-      std::make_unique<HeteroSageModel>(snap->graph, gnn_, &init_rng);
+      std::make_unique<HeteroSageModel>(snap->graph.get(), gnn_, &init_rng);
   if (kind_ == TaskKind::kMulticlassClassification) {
     next->cls_head = std::make_unique<ClassificationHead>(
         gnn_.hidden_dim, num_classes_, &init_rng);
@@ -323,7 +303,6 @@ Status InferenceEngine::LoadCheckpoint(const std::string& path) {
   next->label_std = bundle.scalars[1];
   next->epoch = prev->epoch + 1;
   model_.store(std::shared_ptr<const ModelState>(std::move(next)));
-  loaded_.store(true, std::memory_order_release);
   // Cached embeddings were produced by the previous weights; their keys
   // carry the old epoch (so they can never be served again) and the
   // epoch swap reclaims the memory. Subgraphs depend only on the sampler
@@ -376,8 +355,8 @@ Tensor InferenceEngine::EmbedParts(const EngineSnapshot& snap,
   // to running each seed alone, so batch composition never leaks into a
   // seed's embedding. The forward reads features from the pinned
   // snapshot's graph, never from the (possibly fresher) published one.
-  const Subgraph sg = ConcatSubgraphs(snap.graph, parts);
-  VarPtr emb = model.model->ForwardOn(snap.graph, sg, entity_type_,
+  const Subgraph sg = ConcatSubgraphs(snap.graph.get(), parts);
+  VarPtr emb = model.model->ForwardOn(snap.graph.get(), sg, entity_type_,
                                       /*rng=*/nullptr, /*training=*/false,
                                       serve_.precision);
   RELGRAPH_CHECK(emb->rows() == static_cast<int64_t>(parts.size()));
@@ -387,8 +366,10 @@ Tensor InferenceEngine::EmbedParts(const EngineSnapshot& snap,
 Result<ScoreResponse> InferenceEngine::ScoreOnSnapshot(
     const EngineSnapshot& snap, const ModelState& model,
     const std::vector<int64_t>& entity_ids, const Deadline& deadline,
-    double queue_wait_ms, InvalidIdPolicy policy, bool count_request) {
-  if (!loaded()) {
+    double queue_wait_ms, InvalidIdPolicy policy, bool traffic) {
+  // Judged on the pinned model, not the published one: a request that
+  // pinned the placeholder just before the first load must not score it.
+  if (model.epoch == 0) {
     return Status::FailedPrecondition(
         "no checkpoint loaded; call LoadCheckpoint before Score");
   }
@@ -628,7 +609,7 @@ Result<ScoreResponse> InferenceEngine::ScoreOnSnapshot(
     RELGRAPH_COUNTER_INC("serve_degraded_answers_total");
     RELGRAPH_COUNTER_ADD("serve_degraded_rows_total", resp.rows_degraded);
   }
-  if (count_request) {
+  if (traffic) {
     requests_.fetch_add(1, std::memory_order_relaxed);
     entities_scored_.fetch_add(n, std::memory_order_relaxed);
     RELGRAPH_COUNTER_INC("serve_requests_total");
@@ -641,8 +622,8 @@ Result<ScoreResponse> InferenceEngine::ScoreOnSnapshot(
 
 Result<ScoreResponse> InferenceEngine::ScoreGated(
     const std::vector<int64_t>& entity_ids, const Deadline& deadline,
-    InvalidIdPolicy policy) {
-  AdmissionTicket ticket(gate_.get(), deadline);
+    InvalidIdPolicy policy, bool traffic) {
+  AdmissionTicket ticket(traffic ? gate_.get() : nullptr, deadline);
   if (!ticket.admitted()) {
     if (ticket.outcome() == AdmissionGate::Outcome::kShedQueueFull) {
       shed_.fetch_add(1, std::memory_order_relaxed);
@@ -656,26 +637,27 @@ Result<ScoreResponse> InferenceEngine::ScoreGated(
     RELGRAPH_COUNTER_INC("serve_deadline_exceeded_total");
     return Status::DeadlineExceeded("deadline expired in admission queue");
   }
-  RELGRAPH_COUNTER_INC("serve_admitted_total");
-  if (gate_ != nullptr) NoteQueueWait(ticket.queue_wait_ms());
-  // Pin the published world: two atomic loads, no reader lock. A writer
+  if (traffic) {
+    RELGRAPH_COUNTER_INC("serve_admitted_total");
+    if (gate_ != nullptr) NoteQueueWait(ticket.queue_wait_ms());
+  }
+  // Pin the published world: two pointer copies, no reader lock. A writer
   // publishing mid-request never perturbs this request — it finishes on
   // its pinned snapshot and the retired state drains by refcount.
   const std::shared_ptr<const EngineSnapshot> snap = PinSnapshot();
   const std::shared_ptr<const ModelState> model = PinModel();
   return ScoreOnSnapshot(*snap, *model, entity_ids, deadline,
-                         ticket.queue_wait_ms(), policy,
-                         /*count_request=*/true);
+                         ticket.queue_wait_ms(), policy, traffic);
   // snap/model release before ~ticket returns the gate slot.
 }
 
 Result<std::vector<double>> InferenceEngine::Score(
     const std::vector<int64_t>& entity_ids) {
   RELGRAPH_TRACE_SPAN("serve/score");
-  // No deadline, strict id validation: the original serving contract.
   RELGRAPH_ASSIGN_OR_RETURN(
       ScoreResponse resp,
-      ScoreGated(entity_ids, Deadline(), InvalidIdPolicy::kReject));
+      ScoreGated(entity_ids, Deadline(), InvalidIdPolicy::kReject,
+                 /*traffic=*/true));
   return std::move(resp.scores);
 }
 
@@ -683,113 +665,42 @@ Result<ScoreResponse> InferenceEngine::ScoreWithOptions(
     const ScoreRequest& request) {
   RELGRAPH_TRACE_SPAN("serve/score");
   return ScoreGated(request.entity_ids, request.deadline,
-                    serve_.invalid_id_policy);
-}
-
-Result<ScoreResponse> InferenceEngine::ScoreForCoalescing(
-    const std::vector<int64_t>& entity_ids, const Deadline& deadline) {
-  RELGRAPH_TRACE_SPAN("serve/score_coalesced");
-  // Always kNanRow: an invalid row must NaN itself only — the scheduler
-  // translates invalid rows back into each member's outcome under the
-  // engine's configured policy.
-  Result<ScoreResponse> result =
-      ScoreGated(entity_ids, deadline, InvalidIdPolicy::kNanRow);
-  if (result.ok()) {
-    coalesced_batches_.fetch_add(1, std::memory_order_relaxed);
-    coalesced_rows_.fetch_add(static_cast<int64_t>(entity_ids.size()),
-                              std::memory_order_relaxed);
-  }
-  return result;
+                    request.invalid_id_policy, /*traffic=*/true);
 }
 
 Status InferenceEngine::WarmUp(const std::vector<int64_t>& entity_ids) {
   RELGRAPH_TRACE_SPAN("serve/warmup");
   RELGRAPH_COUNTER_ADD("serve_warmup_entities_total",
                        static_cast<int64_t>(entity_ids.size()));
-  const std::shared_ptr<const EngineSnapshot> snap = PinSnapshot();
-  const std::shared_ptr<const ModelState> model = PinModel();
-  RELGRAPH_ASSIGN_OR_RETURN(
-      ScoreResponse ignored,
-      ScoreOnSnapshot(*snap, *model, entity_ids, Deadline(),
-                      /*queue_wait_ms=*/0.0, InvalidIdPolicy::kReject,
-                      /*count_request=*/false));
-  (void)ignored;
-  return Status::OK();
+  return ScoreGated(entity_ids, Deadline(), InvalidIdPolicy::kReject,
+                    /*traffic=*/false)
+      .status();
 }
 
 Status InferenceEngine::ValidateSnapshot(const EngineSnapshot& current,
                                          const HeteroGraph* graph) const {
   if (graph == nullptr) {
-    return Status::InvalidArgument("AdvanceSnapshot: null graph");
+    return Status::InvalidArgument("ApplyDelta: null graph");
   }
-  const HeteroGraph* base = current.graph;
+  const HeteroGraph* base = current.graph.get();
   if (graph->num_node_types() != base->num_node_types() ||
       graph->num_edge_types() != base->num_edge_types()) {
     return Status::InvalidArgument(
-        "AdvanceSnapshot: snapshot layout mismatch (type counts)");
+        "ApplyDelta: snapshot layout mismatch (type counts)");
   }
   for (EdgeTypeId e = 0; e < graph->num_edge_types(); ++e) {
     if (graph->edge_src_type(e) != base->edge_src_type(e) ||
         graph->edge_dst_type(e) != base->edge_dst_type(e)) {
       return Status::InvalidArgument(
-          "AdvanceSnapshot: snapshot layout mismatch (edge endpoints)");
+          "ApplyDelta: snapshot layout mismatch (edge endpoints)");
     }
   }
   for (int32_t t = 0; t < graph->num_node_types(); ++t) {
     if (graph->feature_dim(t) != base->feature_dim(t)) {
       return Status::InvalidArgument(
-          "AdvanceSnapshot: snapshot layout mismatch (feature widths)");
+          "ApplyDelta: snapshot layout mismatch (feature widths)");
     }
   }
-  return Status::OK();
-}
-
-Status InferenceEngine::AdvanceSnapshot(const HeteroGraph* graph,
-                                        Timestamp now_cutoff) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  const std::shared_ptr<const EngineSnapshot> current = PinSnapshot();
-  Status st = ValidateSnapshot(*current, graph);
-  // The poison site fires after validation and before ANY mutation, so an
-  // injected failure exercises exactly the atomicity contract: the
-  // previous snapshot must remain fully published and servable.
-  if (st.ok() &&
-      FaultInjector::Global().ShouldFire(FaultSite::kServeSnapshotAdvance)) {
-    st = Status::Internal(
-        "injected snapshot poison (site serve_snapshot_advance)");
-  }
-  if (!st.ok()) {
-    RecordAdvanceFailure(st);
-    return st;
-  }
-  // Build the complete replacement off to the side, then publish with one
-  // pointer swap. Readers pinned to the old snapshot finish against it;
-  // new requests see the new world immediately.
-  auto next = std::make_shared<EngineSnapshot>();
-  next->graph = graph;
-  next->sampler = std::make_unique<NeighborSampler>(graph, sampler_options_);
-  next->now_cutoff = now_cutoff;
-  next->version = current->version + 1;
-  snapshot_.store(std::shared_ptr<const EngineSnapshot>(std::move(next)));
-  snapshot_version_.fetch_add(1, std::memory_order_relaxed);
-  // Old-version subgraph keys can no longer match; the LRU ages them out.
-  // Embedding entries carry the retired version in their keys — the
-  // per-shard epoch swap reclaims them without blocking readers.
-  {
-    Timer swap_timer;
-    embedding_cache_.EpochSwap();
-    NoteShardSwap(swap_timer.Millis());
-    RELGRAPH_COUNTER_INC("serve_shard_swaps_total");
-  }
-  // A successful advance closes the breaker and resets staleness.
-  advance_failures_.store(0, std::memory_order_relaxed);
-  state_.store(static_cast<int>(ServeState::kServing),
-               std::memory_order_relaxed);
-  last_advance_success_ns_.store(clock_->NowNanos(),
-                                 std::memory_order_relaxed);
-  SetLastError(Status::OK());
-  RELGRAPH_COUNTER_INC("serve_snapshot_advances_total");
-  NoteStaleness(0.0);
-  NoteBytesPerNode(SnapshotBytesPerNode(graph));
   return Status::OK();
 }
 
@@ -872,9 +783,10 @@ Status InferenceEngine::ApplyDelta(std::shared_ptr<const HeteroGraph> graph,
   std::lock_guard<std::mutex> lock(writer_mu_);
   const std::shared_ptr<const EngineSnapshot> current = PinSnapshot();
   Status st = ValidateSnapshot(*current, graph.get());
-  // Same poison point as AdvanceSnapshot: after validation, before any
-  // mutation — a failed delta apply leaves the previous snapshot fully
-  // published and servable, and counts toward the breaker.
+  // The poison site fires after validation and before ANY mutation, so an
+  // injected failure exercises exactly the atomicity contract: the
+  // previous snapshot stays fully published and servable, and the failure
+  // counts toward the breaker.
   if (st.ok() &&
       FaultInjector::Global().ShouldFire(FaultSite::kServeSnapshotAdvance)) {
     st = Status::Internal(
@@ -884,11 +796,13 @@ Status InferenceEngine::ApplyDelta(std::shared_ptr<const HeteroGraph> graph,
     RecordAdvanceFailure(st);
     return st;
   }
+  // Build the complete replacement off to the side, then publish with one
+  // pointer swap. Readers pinned to the old snapshot finish against it;
+  // new requests see the new world immediately.
   auto next = std::make_shared<EngineSnapshot>();
-  next->graph = graph.get();
-  next->owned = std::move(graph);
+  next->graph = std::move(graph);
   next->sampler =
-      std::make_unique<NeighborSampler>(next->graph, sampler_options_);
+      std::make_unique<NeighborSampler>(next->graph.get(), sampler_options_);
   next->now_cutoff = now_cutoff;
   next->version = current->version + 1;
 
@@ -914,11 +828,11 @@ Status InferenceEngine::ApplyDelta(std::shared_ptr<const HeteroGraph> graph,
     MigrateCachesForDelta(*current, next->version, delta);
   }
   snapshot_.store(std::shared_ptr<const EngineSnapshot>(std::move(next)));
-  snapshot_version_.fetch_add(1, std::memory_order_relaxed);
   if (!precise) {
     // Cutoff moved (every per-seed sampling stream changed) or the delta
-    // chain broke: nothing is provably reusable — wholesale epoch swap,
-    // exactly like AdvanceSnapshot.
+    // chain broke (an empty delta always does): nothing is provably
+    // reusable. Old-version subgraph keys can no longer match and age out
+    // of the LRU; the embedding cache is epoch-swapped shard by shard.
     Timer swap_timer;
     embedding_cache_.EpochSwap();
     NoteShardSwap(swap_timer.Millis());
@@ -931,9 +845,8 @@ Status InferenceEngine::ApplyDelta(std::shared_ptr<const HeteroGraph> graph,
                                  std::memory_order_relaxed);
   SetLastError(Status::OK());
   RELGRAPH_COUNTER_INC("serve_snapshot_advances_total");
-  RELGRAPH_COUNTER_INC("serve_delta_advances_total");
   NoteStaleness(0.0);
-  NoteBytesPerNode(SnapshotBytesPerNode(PinSnapshot()->graph));
+  NoteBytesPerNode(SnapshotBytesPerNode(PinSnapshot()->graph.get()));
   return Status::OK();
 }
 
@@ -960,7 +873,6 @@ ServeHealth InferenceEngine::HealthStatus() const {
   ServeHealth h;
   h.state = state();
   h.loaded = loaded();
-  h.snapshot_version = snapshot_version_.load(std::memory_order_relaxed);
   h.consecutive_advance_failures =
       advance_failures_.load(std::memory_order_relaxed);
   {
@@ -973,11 +885,8 @@ ServeHealth InferenceEngine::HealthStatus() const {
     h.queued = gate_->queued();
   }
   h.cache_shards = static_cast<int64_t>(num_shards_);
-  h.shard_swaps = embedding_cache_.swaps();
-  h.coalesced_batches = coalesced_batches_.load(std::memory_order_relaxed);
-  h.coalesced_rows = coalesced_rows_.load(std::memory_order_relaxed);
   h.precision = serve_.precision;
-  h.bytes_per_node = SnapshotBytesPerNode(PinSnapshot()->graph);
+  h.bytes_per_node = SnapshotBytesPerNode(PinSnapshot()->graph.get());
   NoteStaleness(h.staleness_s);
   NoteBytesPerNode(h.bytes_per_node);
   return h;
@@ -991,18 +900,11 @@ ServeStats InferenceEngine::stats() const {
   s.subgraph_misses = subgraph_cache_.misses();
   s.embedding_hits = embedding_cache_.hits();
   s.embedding_misses = embedding_cache_.misses();
-  s.snapshot_version = snapshot_version_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
   s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
   s.degraded_answers = degraded_answers_.load(std::memory_order_relaxed);
   s.shard_swaps = embedding_cache_.swaps();
-  s.coalesced_batches = coalesced_batches_.load(std::memory_order_relaxed);
-  s.coalesced_rows = coalesced_rows_.load(std::memory_order_relaxed);
   return s;
-}
-
-Timestamp InferenceEngine::now_cutoff() const {
-  return PinSnapshot()->now_cutoff;
 }
 
 }  // namespace relgraph

@@ -40,8 +40,8 @@ enum class DegradeMode {
 const char* DegradeModeName(DegradeMode mode);
 
 /// Engine health state machine: kServing flips to kDegraded when
-/// `breaker_threshold` consecutive AdvanceSnapshot failures latch the
-/// circuit breaker; the next successful advance resets it.
+/// `breaker_threshold` consecutive ApplyDelta failures latch the circuit
+/// breaker; the next successful publish resets it.
 enum class ServeState {
   kServing = 0,
   kDegraded,
@@ -53,12 +53,12 @@ const char* ServeStateName(ServeState state);
 enum class DegradeReason {
   kNone = 0,
   kDeadline,         ///< request deadline expired mid-flight
-  kBreakerOpen,      ///< engine latched degraded by advance failures
+  kBreakerOpen,      ///< engine latched degraded by publish failures
   kDependencyFault,  ///< sampler/allocation failure during resolution
 };
 const char* DegradeReasonName(DegradeReason reason);
 
-/// What Score does with an unknown / out-of-range entity id.
+/// What a request does with an unknown / out-of-range entity id.
 enum class InvalidIdPolicy {
   kReject = 0,  ///< whole request fails with InvalidArgument (default)
   kNanRow,      ///< the row scores NaN; valid rows are served normally
@@ -128,13 +128,9 @@ struct ServeOptions {
   /// breaker. Surfaced in every ScoreResponse's metadata.
   DegradeMode degrade_mode = DegradeMode::kFailFast;
 
-  /// Consecutive AdvanceSnapshot failures that latch the engine into
+  /// Consecutive ApplyDelta failures that latch the engine into
   /// ServeState::kDegraded (must be >= 1).
   int64_t breaker_threshold = 3;
-
-  /// Unknown-id semantics for ScoreWithOptions (the plain Score(ids)
-  /// wrapper always rejects, preserving its documented contract).
-  InvalidIdPolicy invalid_id_policy = InvalidIdPolicy::kReject;
 
   /// Clock behind deadlines, queue-wait measurement and staleness.
   /// nullptr = the process steady clock; tests inject a FakeClock for
@@ -142,11 +138,12 @@ struct ServeOptions {
   const Clock* clock = nullptr;
 };
 
-/// One scoring request: ids plus an execution-policy budget. The default
-/// deadline is infinite.
+/// One scoring request: ids plus its execution policy. The default
+/// deadline is infinite and the default id policy strict.
 struct ScoreRequest {
   std::vector<int64_t> entity_ids;
   Deadline deadline;
+  InvalidIdPolicy invalid_id_policy = InvalidIdPolicy::kReject;
 };
 
 /// A scored answer plus the resilience metadata every response carries:
@@ -174,21 +171,17 @@ struct ScoreResponse {
 };
 
 /// Health probe snapshot: the state machine, breaker progress, last
-/// recorded error, snapshot staleness, gate occupancy, and the sharding /
-/// coalescing picture.
+/// recorded error, snapshot staleness, gate occupancy and configuration.
+/// Traffic totals live in ServeStats (and snapshot_version()), never here.
 struct ServeHealth {
   ServeState state = ServeState::kServing;
   bool loaded = false;
-  int64_t snapshot_version = 0;
   int64_t consecutive_advance_failures = 0;
   std::string last_error;
   double staleness_s = 0.0;
   int64_t inflight = 0;
   int64_t queued = 0;
-  int64_t cache_shards = 0;       ///< shards per cache (power of two)
-  int64_t shard_swaps = 0;        ///< embedding-cache epoch swaps so far
-  int64_t coalesced_batches = 0;  ///< scheduler batches executed here
-  int64_t coalesced_rows = 0;     ///< unique rows across those batches
+  int64_t cache_shards = 0;  ///< shards per cache (power of two)
   Precision precision = Precision::kFp32;  ///< resolved serving precision
   /// Snapshot feature residency divided by the snapshot's node count —
   /// the serve_bytes_per_node gauge's current value.
@@ -203,13 +196,10 @@ struct ServeStats {
   int64_t subgraph_misses = 0;
   int64_t embedding_hits = 0;
   int64_t embedding_misses = 0;
-  int64_t snapshot_version = 0;
   int64_t shed = 0;               ///< requests rejected Overloaded
   int64_t deadline_exceeded = 0;  ///< requests rejected DeadlineExceeded
   int64_t degraded_answers = 0;   ///< responses flagged degraded
   int64_t shard_swaps = 0;        ///< embedding-cache epoch swaps
-  int64_t coalesced_batches = 0;  ///< ScoreForCoalescing executions
-  int64_t coalesced_rows = 0;     ///< unique rows across those batches
 };
 
 /// Online inference engine for a trained node-level predictive query.
@@ -234,7 +224,7 @@ struct ServeStats {
 /// threads a request deadline through admission, per-seed sampling and
 /// per-micro-batch forwards; an optional bounded admission gate sheds
 /// excess load with Status::Overloaded; a circuit breaker around
-/// AdvanceSnapshot latches the engine into its configured DegradeMode
+/// ApplyDelta latches the engine into its configured DegradeMode
 /// after `breaker_threshold` consecutive failures; HealthStatus() reports
 /// the state machine. Degraded answers stay deterministic: with a fake
 /// clock and seeded faults, same inputs give bit-identical responses.
@@ -244,7 +234,7 @@ struct ServeStats {
 /// live behind one published pointer slot (EpochPtr, a shared_ptr whose
 /// guard is held only for the refcount bump). A scoring thread pins
 /// both with two pointer copies and computes entirely against its pinned
-/// state; AdvanceSnapshot / LoadCheckpoint build a complete replacement
+/// state; ApplyDelta / LoadCheckpoint build a complete replacement
 /// off to the side and publish it with one pointer swap, so writers
 /// never block a request in flight and a reader mid-request keeps its
 /// consistent world until it finishes (the retired snapshot drains by
@@ -256,27 +246,20 @@ struct ServeStats {
 /// epoch), so a straggler writing through a retired shard can never
 /// pollute a fresh one.
 ///
-/// Snapshots: AdvanceSnapshot publishes a fresher graph of the SAME
-/// layout and bumps the snapshot version. Subgraph cache keys carry the
-/// version (stale entries age out of the LRU); the embedding cache is
-/// epoch-swapped shard by shard. A failed advance — validation failure or
-/// injected poison — leaves the previous snapshot fully intact and
-/// servable: all checks precede publication.
+/// Snapshots: ApplyDelta publishes a fresher graph of the SAME layout and
+/// bumps the snapshot version. Subgraph cache keys carry the version
+/// (stale entries age out of the LRU); the embedding cache is migrated
+/// entry by entry or epoch-swapped shard by shard. A failed publish —
+/// validation failure or injected poison — leaves the previous snapshot
+/// fully intact and servable: all checks precede publication.
+///
+/// Every graph is shared-owned: a snapshot keeps its graph alive for as
+/// long as any reader has it pinned, so the caller (a StreamingDbGraph, a
+/// PredictiveQueryEngine) may drop its reference at any time.
 class InferenceEngine {
  public:
-  /// `graph` must outlive the engine; `now_cutoff` is the serving-time
-  /// cutoff (one past the snapshot's max event time).
-  InferenceEngine(const HeteroGraph* graph, NodeTypeId entity_type,
-                  TaskKind kind, int64_t num_classes, const GnnConfig& gnn,
-                  const SamplerOptions& sampler_options,
-                  Timestamp now_cutoff, const ServeOptions& serve = {});
-
-  /// As above, but shares ownership of the graph epoch: the initial
-  /// snapshot keeps `graph` alive for as long as it is current, so a
-  /// streaming producer (StreamingDbGraph) may publish newer epochs and
-  /// drop its reference without invalidating the engine's snapshot. Use
-  /// this overload whenever the graph's lifetime is not lexically wider
-  /// than the engine's.
+  /// `now_cutoff` is the serving-time cutoff (one past the snapshot's max
+  /// event time).
   InferenceEngine(std::shared_ptr<const HeteroGraph> graph,
                   NodeTypeId entity_type, TaskKind kind, int64_t num_classes,
                   const GnnConfig& gnn, const SamplerOptions& sampler_options,
@@ -298,8 +281,7 @@ class InferenceEngine {
   /// Scores the given entity node ids at the current snapshot's "now"
   /// cutoff, with no deadline and strict id validation. Requires a loaded
   /// checkpoint. Safe to call concurrently. Equivalent to
-  /// ScoreWithOptions({ids}) under InvalidIdPolicy::kReject, keeping only
-  /// the scores.
+  /// ScoreWithOptions({ids}), keeping only the scores.
   Result<std::vector<double>> Score(const std::vector<int64_t>& entity_ids);
 
   /// Full-policy scoring: admission control, deadline propagation and
@@ -312,18 +294,11 @@ class InferenceEngine {
   /// kFailFast or before admission), Status::InvalidArgument (bad ids
   /// under kReject), Status::FailedPrecondition (no checkpoint), or
   /// Status::Internal (dependency fault under kFailFast).
+  ///
+  /// Row scores are a pure function of (id, snapshot, weights), never of
+  /// the rest of the request: a coalescing scheduler sends a merged batch
+  /// here under kNanRow and gets rows bit-identical to solo calls.
   Result<ScoreResponse> ScoreWithOptions(const ScoreRequest& request);
-
-  /// Executes one already-merged batch of rows on behalf of a coalescing
-  /// scheduler: one admission-gate pass, one scoring pipeline, always
-  /// InvalidIdPolicy::kNanRow (an invalid row must NaN only itself, never
-  /// poison the co-batched requests — the scheduler re-applies the
-  /// engine's configured policy per member when it scatters). Row scores
-  /// are bit-identical to solo ScoreWithOptions calls for the same ids:
-  /// that is the per-seed purity contract, and it is what makes
-  /// cross-request coalescing invisible to callers.
-  Result<ScoreResponse> ScoreForCoalescing(
-      const std::vector<int64_t>& entity_ids, const Deadline& deadline);
 
   /// Pre-populates both caches for the given (e.g. hottest) entities so
   /// the first real requests hit warm. Equivalent to a discarded Score,
@@ -331,19 +306,11 @@ class InferenceEngine {
   /// never passes the admission gate.
   Status WarmUp(const std::vector<int64_t>& entity_ids);
 
-  /// Switches to a fresher graph snapshot (same layout — table schema and
-  /// FK structure must be unchanged) with a new "now" cutoff. Bumps the
-  /// snapshot version, publishes the new snapshot with one pointer swap
-  /// (in-flight readers finish on the old one), and epoch-swaps the
-  /// embedding cache. On failure the previous snapshot stays fully
-  /// servable; `breaker_threshold` consecutive failures latch the engine
-  /// into ServeState::kDegraded (reset by the next success).
-  Status AdvanceSnapshot(const HeteroGraph* graph, Timestamp now_cutoff);
-
-  /// Streaming snapshot advance: publishes `graph` — a fresher epoch of
-  /// the SAME layout, typically StreamingDbGraph's latest — taking shared
-  /// ownership (the epoch stays alive while any pinned snapshot
-  /// references it), and uses the delta for PRECISE cache invalidation:
+  /// Switches to a fresher graph snapshot — the SAME layout (node/edge
+  /// types, endpoints, feature widths), typically StreamingDbGraph's
+  /// latest epoch — with a "now" cutoff. Bumps the snapshot version and
+  /// publishes the new snapshot with one pointer swap (in-flight readers
+  /// finish on the old one). The delta drives cache invalidation:
   ///
   ///  - `now_cutoff` unchanged: cache entries whose sampled neighborhoods
   ///    avoid every delta-touched node migrate to the new snapshot
@@ -354,7 +321,7 @@ class InferenceEngine {
   ///    embedding read.
   ///  - `now_cutoff` changed: wholesale invalidation (the per-seed
   ///    sampling stream is keyed by (salt, node, cutoff), so no cached
-  ///    result is reusable), exactly like AdvanceSnapshot.
+  ///    result is reusable) — the embedding cache is epoch-swapped.
   ///
   /// Precise migration additionally requires an intact delta chain: the
   /// delta's `first_new_node` must equal the current snapshot's per-type
@@ -362,11 +329,13 @@ class InferenceEngine {
   /// being replaced). A caller that skipped an epoch — e.g. retrying with
   /// only the newest delta after a failed publish — gets wholesale
   /// invalidation instead, so stale cache entries can never survive a
-  /// missed delta.
+  /// missed delta. An empty delta (`{}`) never chains, so a caller with a
+  /// rebuilt graph and no delta gets a plain wholesale swap.
   ///
-  /// Same failure/breaker contract as AdvanceSnapshot: validation and the
-  /// poison site precede any mutation, a failed apply leaves the previous
-  /// snapshot fully servable and counts toward the breaker.
+  /// Validation and the poison site precede any mutation: a failed apply
+  /// leaves the previous snapshot fully servable, and
+  /// `breaker_threshold` consecutive failures latch the engine into
+  /// ServeState::kDegraded (reset by the next success).
   ///
   /// Migration preserves bit-equality: a migrated subgraph re-samples
   /// identically on the new epoch (untouched adjacency, same cutoff) and
@@ -376,20 +345,19 @@ class InferenceEngine {
                     Timestamp now_cutoff, const GraphDelta& delta);
 
   /// Health probe: state machine, breaker progress, last error, snapshot
-  /// staleness, gate occupancy, shard/coalesce counters. Also refreshes
-  /// the serve_snapshot_staleness_s gauge.
+  /// staleness, gate occupancy, configuration. Also refreshes the
+  /// serve_snapshot_staleness_s gauge.
   ServeHealth HealthStatus() const;
 
   ServeStats stats() const;
 
-  int64_t snapshot_version() const {
-    return snapshot_version_.load(std::memory_order_relaxed);
-  }
+  int64_t snapshot_version() const { return PinSnapshot()->version; }
   ServeState state() const {
     return static_cast<ServeState>(state_.load(std::memory_order_relaxed));
   }
-  Timestamp now_cutoff() const;
-  bool loaded() const { return loaded_.load(std::memory_order_acquire); }
+  Timestamp now_cutoff() const { return PinSnapshot()->now_cutoff; }
+  /// True once a checkpoint has been published (model epoch > 0).
+  bool loaded() const { return PinModel()->epoch > 0; }
   const GnnConfig& gnn_config() const { return gnn_; }
   const ServeOptions& serve_options() const { return serve_; }
 
@@ -410,11 +378,7 @@ class InferenceEngine {
   /// the duration of one request and the retired instance drains by
   /// refcount when its last reader finishes.
   struct EngineSnapshot {
-    const HeteroGraph* graph = nullptr;
-    /// Set by ApplyDelta: keeps the streamed graph epoch alive for the
-    /// snapshot's lifetime (constructor/AdvanceSnapshot graphs are
-    /// caller-owned and leave this null).
-    std::shared_ptr<const HeteroGraph> owned;
+    std::shared_ptr<const HeteroGraph> graph;
     std::unique_ptr<NeighborSampler> sampler;
     Timestamp now_cutoff = 0;
     int64_t version = 0;
@@ -424,7 +388,8 @@ class InferenceEngine {
   /// Published through `model_`; LoadCheckpoint builds a complete fresh
   /// instance and swaps the pointer, so forwards in flight keep their
   /// weights. `epoch` increments per successful load and is part of the
-  /// embedding cache key.
+  /// embedding cache key; epoch 0 is the random-init placeholder, which
+  /// never scores.
   struct ModelState {
     std::unique_ptr<HeteroSageModel> model;
     std::unique_ptr<ClassificationHead> cls_head;
@@ -481,24 +446,22 @@ class InferenceEngine {
     }
   };
 
-  /// Shared entry of Score and ScoreWithOptions: admission gate, pin the
-  /// published snapshot + model, then the scoring body. `policy` lets the
-  /// plain Score wrapper keep strict id validation regardless of the
-  /// engine's configured policy.
+  /// The one score path behind Score, ScoreWithOptions and WarmUp:
+  /// admission gate, pin the published snapshot + model, then
+  /// ScoreOnSnapshot. WarmUp passes `traffic` false: no gate, and not
+  /// counted as a served request.
   Result<ScoreResponse> ScoreGated(const std::vector<int64_t>& entity_ids,
                                    const Deadline& deadline,
-                                   InvalidIdPolicy policy);
+                                   InvalidIdPolicy policy, bool traffic);
 
-  /// Scoring body against one pinned snapshot/model pair — the epoch
-  /// successor of the old lock-held ScoreLocked. WarmUp passes
-  /// `count_request` false so pre-population is not counted as traffic.
+  /// Scoring body against one pinned snapshot/model pair.
   Result<ScoreResponse> ScoreOnSnapshot(const EngineSnapshot& snap,
                                         const ModelState& model,
                                         const std::vector<int64_t>& entity_ids,
                                         const Deadline& deadline,
                                         double queue_wait_ms,
                                         InvalidIdPolicy policy,
-                                        bool count_request);
+                                        bool traffic);
 
   /// Layout checks of a candidate snapshot against the current one; no
   /// mutation. Caller holds writer_mu_.
@@ -519,13 +482,13 @@ class InferenceEngine {
   Tensor EmbedParts(const EngineSnapshot& snap, const ModelState& model,
                     const std::vector<const Subgraph*>& parts);
 
-  /// Registers a failed advance (caller holds writer_mu_): counts toward
+  /// Registers a failed publish (caller holds writer_mu_): counts toward
   /// the breaker, latches kDegraded at the threshold, records the error
   /// for HealthStatus().
   void RecordAdvanceFailure(const Status& status);
 
-  /// Delta-precise cache migration (caller holds writer_mu_; same-cutoff
-  /// ApplyDelta only): rekeys surviving subgraph entries from
+  /// Delta-precise cache migration (caller holds writer_mu_; same-cutoff,
+  /// chained deltas only): rekeys surviving subgraph entries from
   /// current.version to new_version, then embedding entries whose seeds'
   /// subgraphs survived.
   void MigrateCachesForDelta(const EngineSnapshot& current,
@@ -566,16 +529,12 @@ class InferenceEngine {
   EpochPtr<const EngineSnapshot> snapshot_;
   EpochPtr<const ModelState> model_;
 
-  /// Serializes LoadCheckpoint/AdvanceSnapshot against each other only —
+  /// Serializes LoadCheckpoint/ApplyDelta against each other only —
   /// readers never take it.
   std::mutex writer_mu_;
 
-  std::atomic<bool> loaded_{false};
-  std::atomic<int64_t> snapshot_version_{0};
   std::atomic<int64_t> requests_{0};
   std::atomic<int64_t> entities_scored_{0};
-  std::atomic<int64_t> coalesced_batches_{0};
-  std::atomic<int64_t> coalesced_rows_{0};
 
   // Resilience state machine (reads are lock-free; writers hold
   // writer_mu_).

@@ -79,7 +79,7 @@ class ArenaTest : public ::testing::Test {
     cfg.num_categories = 4;
     cfg.horizon_days = 150;
     db_ = new Database(MakeECommerceDb(cfg));
-    dbg_ = new DbGraph(BuildDbGraph(*db_).value());
+    dbg_ = std::make_shared<DbGraph>(BuildDbGraph(*db_).value());
     users_ = dbg_->graph.FindNodeType("users").value();
 
     auto rq = AnalyzeQuery(ParseQuery(kQuery).value(), *db_).value();
@@ -100,11 +100,10 @@ class ArenaTest : public ::testing::Test {
     std::remove(ckpt_path_.c_str());
     delete split_;
     delete table_;
-    delete dbg_;
+    dbg_.reset();
     delete db_;
     split_ = nullptr;
     table_ = nullptr;
-    dbg_ = nullptr;
     db_ = nullptr;
   }
 
@@ -134,14 +133,14 @@ class ArenaTest : public ::testing::Test {
   static std::unique_ptr<InferenceEngine> MakeEngine(
       const ServeOptions& serve = {}) {
     auto engine = std::make_unique<InferenceEngine>(
-        &dbg_->graph, users_, TaskKind::kBinaryClassification, 2, Gnn(),
+        SharedGraph(dbg_), users_, TaskKind::kBinaryClassification, 2, Gnn(),
         Sampler(), db_->TimeRange().second + 1, serve);
     EXPECT_TRUE(engine->LoadCheckpoint(ckpt_path_).ok());
     return engine;
   }
 
   static Database* db_;
-  static DbGraph* dbg_;
+  static std::shared_ptr<DbGraph> dbg_;
   static NodeTypeId users_;
   static TrainingTable* table_;
   static Split* split_;
@@ -149,7 +148,7 @@ class ArenaTest : public ::testing::Test {
 };
 
 Database* ArenaTest::db_ = nullptr;
-DbGraph* ArenaTest::dbg_ = nullptr;
+std::shared_ptr<DbGraph> ArenaTest::dbg_;
 NodeTypeId ArenaTest::users_ = 0;
 TrainingTable* ArenaTest::table_ = nullptr;
 Split* ArenaTest::split_ = nullptr;

@@ -49,7 +49,7 @@ constexpr const char* kQuery =
 
 /// Shared world: one trained checkpoint over database A, plus a second
 /// database B generated with a different seed — same schema and layout
-/// (AdvanceSnapshot accepts it) but different data, so its scores differ
+/// (ApplyDelta accepts it) but different data, so its scores differ
 /// and a wrong-version answer is detectable.
 class ChaosTest : public ::testing::Test {
  protected:
@@ -62,8 +62,8 @@ class ChaosTest : public ::testing::Test {
     db_a_ = new Database(MakeECommerceDb(cfg));
     cfg.seed = 43;  // different world, identical layout
     db_b_ = new Database(MakeECommerceDb(cfg));
-    dbg_a_ = new DbGraph(BuildDbGraph(*db_a_).value());
-    dbg_b_ = new DbGraph(BuildDbGraph(*db_b_).value());
+    dbg_a_ = std::make_shared<DbGraph>(BuildDbGraph(*db_a_).value());
+    dbg_b_ = std::make_shared<DbGraph>(BuildDbGraph(*db_b_).value());
     users_ = dbg_a_->graph.FindNodeType("users").value();
 
     auto rq = AnalyzeQuery(ParseQuery(kQuery).value(), *db_a_).value();
@@ -85,8 +85,8 @@ class ChaosTest : public ::testing::Test {
 
     // Per-graph reference scores for every user id, computed cacheless and
     // fault-free: the ground truth each served answer is checked against.
-    ref_a_ = ReferenceScores(&dbg_a_->graph);
-    ref_b_ = ReferenceScores(&dbg_b_->graph);
+    ref_a_ = ReferenceScores(SharedGraph(dbg_a_));
+    ref_b_ = ReferenceScores(SharedGraph(dbg_b_));
     bool differs = false;
     for (size_t i = 0; i < ref_a_.size(); ++i) {
       if (ref_a_[i] != ref_b_[i]) differs = true;
@@ -98,11 +98,10 @@ class ChaosTest : public ::testing::Test {
 
   static void TearDownTestSuite() {
     std::remove(ckpt_path_.c_str());
-    delete dbg_b_;
-    delete dbg_a_;
+    dbg_b_.reset();
+    dbg_a_.reset();
     delete db_b_;
     delete db_a_;
-    dbg_b_ = dbg_a_ = nullptr;
     db_b_ = db_a_ = nullptr;
   }
 
@@ -129,19 +128,20 @@ class ChaosTest : public ::testing::Test {
   }
 
   static std::unique_ptr<InferenceEngine> MakeEngine(
-      const HeteroGraph* graph, const ServeOptions& serve) {
+      std::shared_ptr<const HeteroGraph> graph, const ServeOptions& serve) {
     auto engine = std::make_unique<InferenceEngine>(
-        graph, users_, TaskKind::kBinaryClassification, 2, Gnn(), Sampler(),
-        Now(), serve);
+        std::move(graph), users_, TaskKind::kBinaryClassification, 2, Gnn(),
+        Sampler(), Now(), serve);
     EXPECT_TRUE(engine->LoadCheckpoint(ckpt_path_).ok());
     return engine;
   }
 
-  static std::vector<double> ReferenceScores(const HeteroGraph* graph) {
+  static std::vector<double> ReferenceScores(
+      std::shared_ptr<const HeteroGraph> graph) {
     ServeOptions off;
     off.enable_subgraph_cache = false;
     off.enable_embedding_cache = false;
-    auto engine = MakeEngine(graph, off);
+    auto engine = MakeEngine(std::move(graph), off);
     std::vector<int64_t> ids(80);
     for (int64_t i = 0; i < 80; ++i) ids[static_cast<size_t>(i)] = i;
     auto scores = engine->Score(ids);
@@ -151,8 +151,8 @@ class ChaosTest : public ::testing::Test {
 
   static Database* db_a_;
   static Database* db_b_;
-  static DbGraph* dbg_a_;
-  static DbGraph* dbg_b_;
+  static std::shared_ptr<DbGraph> dbg_a_;
+  static std::shared_ptr<DbGraph> dbg_b_;
   static NodeTypeId users_;
   static std::string ckpt_path_;
   static std::vector<double> ref_a_;
@@ -161,8 +161,8 @@ class ChaosTest : public ::testing::Test {
 
 Database* ChaosTest::db_a_ = nullptr;
 Database* ChaosTest::db_b_ = nullptr;
-DbGraph* ChaosTest::dbg_a_ = nullptr;
-DbGraph* ChaosTest::dbg_b_ = nullptr;
+std::shared_ptr<DbGraph> ChaosTest::dbg_a_;
+std::shared_ptr<DbGraph> ChaosTest::dbg_b_;
 NodeTypeId ChaosTest::users_ = 0;
 std::string ChaosTest::ckpt_path_;
 std::vector<double> ChaosTest::ref_a_;
@@ -207,8 +207,8 @@ TEST_F(ChaosTest, SeededChaosScriptReplaysBitIdentically) {
     serve.clock = &clock;
     serve.degrade_mode = DegradeMode::kStaleSnapshot;
     serve.breaker_threshold = 2;
-    auto engine = MakeEngine(&dbg_a_->graph, serve);
-    const DbGraph* graphs[2] = {dbg_b_, dbg_a_};
+    auto engine = MakeEngine(SharedGraph(dbg_a_), serve);
+    const std::shared_ptr<DbGraph> graphs[2] = {dbg_b_, dbg_a_};
 
     for (int step = 0; step < 30; ++step) {
       if (step % 5 == 4) {
@@ -216,7 +216,7 @@ TEST_F(ChaosTest, SeededChaosScriptReplaysBitIdentically) {
         // the breaker; record their outcome too.
         StepRecord rec;
         rec.status_code = static_cast<int>(
-            engine->AdvanceSnapshot(&graphs[(step / 5) % 2]->graph, Now())
+            engine->ApplyDelta(SharedGraph(graphs[(step / 5) % 2]), Now(), {})
                 .code());
         rec.version = engine->snapshot_version();
         records.push_back(std::move(rec));
@@ -292,7 +292,7 @@ TEST_F(ChaosTest, FloodWithFaultsUpholdsInvariants) {
   serve.breaker_threshold = 3;
   serve.max_inflight = 2;
   serve.max_queue = 1;
-  auto engine = MakeEngine(&dbg_a_->graph, serve);
+  auto engine = MakeEngine(SharedGraph(dbg_a_), serve);
 
   // graph_of_version[v] = which reference table answers from snapshot
   // version v must match. Written only by the advancing (main) thread and
@@ -341,9 +341,9 @@ TEST_F(ChaosTest, FloodWithFaultsUpholdsInvariants) {
   }
 
   const std::vector<double>* refs[2] = {&ref_b_, &ref_a_};
-  const DbGraph* graphs[2] = {dbg_b_, dbg_a_};
+  const std::shared_ptr<DbGraph> graphs[2] = {dbg_b_, dbg_a_};
   for (int round = 0; round < 20; ++round) {
-    if (engine->AdvanceSnapshot(&graphs[round % 2]->graph, Now()).ok()) {
+    if (engine->ApplyDelta(SharedGraph(graphs[round % 2]), Now(), {}).ok()) {
       graph_of_version.push_back(refs[round % 2]);
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -401,7 +401,7 @@ TEST_F(ChaosTest, CoalescedFloodWithFaultsUpholdsInvariants) {
   ServeOptions serve;
   serve.degrade_mode = DegradeMode::kStaleSnapshot;
   serve.breaker_threshold = 3;
-  auto engine = MakeEngine(&dbg_a_->graph, serve);
+  auto engine = MakeEngine(SharedGraph(dbg_a_), serve);
   CoalesceOptions copts;
   copts.wait_window_ms = 0.2;
   CoalescingScheduler scheduler(engine.get(), copts);
@@ -448,9 +448,9 @@ TEST_F(ChaosTest, CoalescedFloodWithFaultsUpholdsInvariants) {
   }
 
   const std::vector<double>* refs[2] = {&ref_b_, &ref_a_};
-  const DbGraph* graphs[2] = {dbg_b_, dbg_a_};
+  const std::shared_ptr<DbGraph> graphs[2] = {dbg_b_, dbg_a_};
   for (int round = 0; round < 20; ++round) {
-    if (engine->AdvanceSnapshot(&graphs[round % 2]->graph, Now()).ok()) {
+    if (engine->ApplyDelta(SharedGraph(graphs[round % 2]), Now(), {}).ok()) {
       graph_of_version.push_back(refs[round % 2]);
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -469,8 +469,8 @@ TEST_F(ChaosTest, CoalescedFloodWithFaultsUpholdsInvariants) {
   EXPECT_LE(cs.rows_executed + cs.dedup_rows, cs.rows_submitted);
   // The engine counts batches that executed to an OK response; batches
   // whose merged deadline (all members tight) expired pre-execution are
-  // scheduler attempts with no engine-side execution.
-  EXPECT_LE(engine->stats().coalesced_batches, cs.batches);
+  // scheduler attempts with no engine-side answer.
+  EXPECT_LE(engine->stats().requests, cs.batches);
 
   // Delivered rows: flags agree with the NaN pattern, and every resolved
   // row matches the claimed version's reference bit-for-bit.
@@ -502,7 +502,7 @@ TEST_F(ChaosTest, EnvVarArmsTheChaosConfiguration) {
   serve.degrade_mode = DegradeMode::kStaleSnapshot;
   serve.enable_subgraph_cache = false;
   serve.enable_embedding_cache = false;
-  auto engine = MakeEngine(&dbg_a_->graph, serve);
+  auto engine = MakeEngine(SharedGraph(dbg_a_), serve);
 
   ::setenv("RELGRAPH_FAULTS", "serve_sample=p1.0@5,serve_snapshot_advance=1",
            /*overwrite=*/1);
@@ -521,8 +521,8 @@ TEST_F(ChaosTest, EnvVarArmsTheChaosConfiguration) {
   for (double s : resp.value().scores) EXPECT_TRUE(std::isnan(s));
 
   // The one-shot advance poison fires once, then advances work again.
-  EXPECT_FALSE(engine->AdvanceSnapshot(&dbg_b_->graph, Now()).ok());
-  EXPECT_TRUE(engine->AdvanceSnapshot(&dbg_b_->graph, Now()).ok());
+  EXPECT_FALSE(engine->ApplyDelta(SharedGraph(dbg_b_), Now(), {}).ok());
+  EXPECT_TRUE(engine->ApplyDelta(SharedGraph(dbg_b_), Now(), {}).ok());
 }
 
 // ---------------------------------------------------------- streaming chaos
@@ -546,10 +546,7 @@ TEST_F(ChaosTest, StreamingPipelineSurvivesSeededFaultStorm) {
   StreamingOptions sopts;
   sopts.compact_threshold = 1;  // compact every apply so kCompact gets hit
   auto stream = StreamingDbGraph::Create(&db, sopts).value();
-  // Pin the base epoch: the raw-pointer engine does not own it, and the
-  // stream drops its reference at the first successful publish.
-  std::shared_ptr<const HeteroGraph> base_epoch = stream->graph();
-  auto engine = MakeEngine(base_epoch.get(), ServeOptions{});
+  auto engine = MakeEngine(stream->graph(), ServeOptions{});
 
   FaultInjector::Global().ArmProbability(FaultSite::kAppendApply, 0.3, 11);
   FaultInjector::Global().ArmProbability(FaultSite::kCompact, 0.5, 12);
@@ -588,14 +585,15 @@ TEST_F(ChaosTest, StreamingPipelineSurvivesSeededFaultStorm) {
   FaultInjector::Global().Reset();
 
   // Storm over: the stream still equals its rebuild oracle...
-  auto rebuilt = BuildDbGraph(db, stream->RebuildOptions()).value();
+  auto rebuilt = std::make_shared<DbGraph>(
+      BuildDbGraph(db, stream->RebuildOptions()).value());
   // ...and once the newest epoch lands (possibly over a broken delta
   // chain — the engine swaps wholesale then), served scores are exactly
   // the fault-free reference's.
   ASSERT_TRUE(engine
                   ->ApplyDelta(stream->graph(), Now(), GraphDelta{})
                   .ok());
-  auto reference = MakeEngine(&rebuilt.graph, ServeOptions{});
+  auto reference = MakeEngine(SharedGraph(rebuilt), ServeOptions{});
   auto got = engine->Score(ids);
   auto want = reference->Score(ids);
   ASSERT_TRUE(got.ok());

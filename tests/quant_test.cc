@@ -516,7 +516,7 @@ class QuantServeTest : public ::testing::Test {
     cfg.num_categories = 4;
     cfg.horizon_days = 150;
     db_ = new Database(MakeECommerceDb(cfg));
-    dbg_ = new DbGraph(BuildDbGraph(*db_).value());
+    dbg_ = std::make_shared<DbGraph>(BuildDbGraph(*db_).value());
     users_ = dbg_->graph.FindNodeType("users").value();
 
     auto rq = AnalyzeQuery(ParseQuery(kQuery).value(), *db_).value();
@@ -538,9 +538,8 @@ class QuantServeTest : public ::testing::Test {
 
   static void TearDownTestSuite() {
     std::remove(ckpt_path_.c_str());
-    delete dbg_;
+    dbg_.reset();
     delete db_;
-    dbg_ = nullptr;
     db_ = nullptr;
   }
 
@@ -563,7 +562,7 @@ class QuantServeTest : public ::testing::Test {
   static std::unique_ptr<InferenceEngine> MakeEngine(
       const ServeOptions& serve = {}) {
     auto engine = std::make_unique<InferenceEngine>(
-        &dbg_->graph, users_, TaskKind::kBinaryClassification, 2, Gnn(),
+        SharedGraph(dbg_), users_, TaskKind::kBinaryClassification, 2, Gnn(),
         Sampler(), Now(), serve);
     EXPECT_TRUE(engine->LoadCheckpoint(ckpt_path_).ok());
     return engine;
@@ -574,13 +573,13 @@ class QuantServeTest : public ::testing::Test {
   }
 
   static Database* db_;
-  static DbGraph* dbg_;
+  static std::shared_ptr<DbGraph> dbg_;
   static NodeTypeId users_;
   static std::string ckpt_path_;
 };
 
 Database* QuantServeTest::db_ = nullptr;
-DbGraph* QuantServeTest::dbg_ = nullptr;
+std::shared_ptr<DbGraph> QuantServeTest::dbg_;
 NodeTypeId QuantServeTest::users_ = 0;
 std::string QuantServeTest::ckpt_path_;
 
@@ -676,14 +675,14 @@ TEST_F(QuantServeTest, NonFp32LoadRejectsNonFiniteCheckpoints) {
                                bundle.value().scalars)
                   .ok());
 
-  InferenceEngine fp32(&dbg_->graph, users_,
+  InferenceEngine fp32(SharedGraph(dbg_), users_,
                        TaskKind::kBinaryClassification, 2, Gnn(), Sampler(),
                        Now());
   EXPECT_TRUE(fp32.LoadCheckpoint(bad_path).ok());
 
   ServeOptions low;
   low.precision = Precision::kInt8;
-  InferenceEngine int8(&dbg_->graph, users_,
+  InferenceEngine int8(SharedGraph(dbg_), users_,
                        TaskKind::kBinaryClassification, 2, Gnn(), Sampler(),
                        Now(), low);
   Status s = int8.LoadCheckpoint(bad_path);
@@ -727,16 +726,16 @@ TEST_F(QuantServeTest, QuantizedFeatureGraphServesAllPrecisions) {
   // the feature-heavy types, and the engine must score in every mode.
   GraphBuilderOptions opts;
   opts.quantize_features = true;
-  auto qdbg = BuildDbGraph(*db_, opts);
-  ASSERT_TRUE(qdbg.ok());
-  ASSERT_LT(qdbg.value().graph.FeatureBytes(),
-            dbg_->graph.FeatureBytes());
+  auto built = BuildDbGraph(*db_, opts);
+  ASSERT_TRUE(built.ok());
+  auto qdbg = std::make_shared<DbGraph>(std::move(built).value());
+  ASSERT_LT(qdbg->graph.FeatureBytes(), dbg_->graph.FeatureBytes());
 
   for (Precision p :
        {Precision::kFp32, Precision::kBf16, Precision::kInt8}) {
     ServeOptions serve;
     serve.precision = p;
-    InferenceEngine engine(&qdbg.value().graph, users_,
+    InferenceEngine engine(SharedGraph(qdbg), users_,
                            TaskKind::kBinaryClassification, 2, Gnn(),
                            Sampler(), Now(), serve);
     ASSERT_TRUE(engine.LoadCheckpoint(ckpt_path_).ok());

@@ -4,7 +4,7 @@
 // The load-bearing claim: coalescing is INVISIBLE in the scores. N threads
 // scoring overlapping Zipfian id sets through the scheduler must produce
 // bit-identical doubles to serial solo calls — with caches on, off, and
-// while AdvanceSnapshot swaps the world mid-flight (the response's
+// while ApplyDelta swaps the world mid-flight (the response's
 // snapshot_version says which world answered, and the scores must match
 // that world's reference exactly). Runs under TSan in scripts/ci.sh
 // (serve_mt lane).
@@ -106,8 +106,8 @@ class CoalesceTest : public ::testing::Test {
     db_a_ = new Database(MakeECommerceDb(cfg));
     cfg.seed = 43;  // different world, identical layout
     db_b_ = new Database(MakeECommerceDb(cfg));
-    dbg_a_ = new DbGraph(BuildDbGraph(*db_a_).value());
-    dbg_b_ = new DbGraph(BuildDbGraph(*db_b_).value());
+    dbg_a_ = std::make_shared<DbGraph>(BuildDbGraph(*db_a_).value());
+    dbg_b_ = std::make_shared<DbGraph>(BuildDbGraph(*db_b_).value());
     users_ = dbg_a_->graph.FindNodeType("users").value();
 
     auto rq = AnalyzeQuery(ParseQuery(kQuery).value(), *db_a_).value();
@@ -125,8 +125,8 @@ class CoalesceTest : public ::testing::Test {
                  std::to_string(getpid()) + ".ckpt";
     ASSERT_TRUE(trainer.SaveWeights(ckpt_path_).ok());
 
-    ref_a_ = ReferenceScores(&dbg_a_->graph);
-    ref_b_ = ReferenceScores(&dbg_b_->graph);
+    ref_a_ = ReferenceScores(dbg_a_);
+    ref_b_ = ReferenceScores(dbg_b_);
     bool differs = false;
     for (size_t i = 0; i < ref_a_.size(); ++i) {
       if (ref_a_[i] != ref_b_[i]) differs = true;
@@ -136,11 +136,10 @@ class CoalesceTest : public ::testing::Test {
 
   static void TearDownTestSuite() {
     std::remove(ckpt_path_.c_str());
-    delete dbg_b_;
-    delete dbg_a_;
+    dbg_b_.reset();
+    dbg_a_.reset();
     delete db_b_;
     delete db_a_;
-    dbg_b_ = dbg_a_ = nullptr;
     db_b_ = db_a_ = nullptr;
   }
 
@@ -163,21 +162,23 @@ class CoalesceTest : public ::testing::Test {
   }
 
   static std::unique_ptr<InferenceEngine> MakeEngine(
-      const ServeOptions& serve = {}, const HeteroGraph* graph = nullptr) {
+      const ServeOptions& serve = {},
+      const std::shared_ptr<DbGraph>& dbg = dbg_a_) {
     auto engine = std::make_unique<InferenceEngine>(
-        graph != nullptr ? graph : &dbg_a_->graph, users_,
-        TaskKind::kBinaryClassification, 2, Gnn(), Sampler(), Now(), serve);
+        SharedGraph(dbg), users_, TaskKind::kBinaryClassification, 2, Gnn(),
+        Sampler(), Now(), serve);
     EXPECT_TRUE(engine->LoadCheckpoint(ckpt_path_).ok());
     return engine;
   }
 
   /// Per-id solo scores over `graph`, computed cacheless: the ground
   /// truth every coalesced answer is compared against bit-for-bit.
-  static std::vector<double> ReferenceScores(const HeteroGraph* graph) {
+  static std::vector<double> ReferenceScores(
+      const std::shared_ptr<DbGraph>& dbg) {
     ServeOptions off;
     off.enable_subgraph_cache = false;
     off.enable_embedding_cache = false;
-    auto engine = MakeEngine(off, graph);
+    auto engine = MakeEngine(off, dbg);
     std::vector<int64_t> ids(kUsers);
     for (int64_t i = 0; i < kUsers; ++i) ids[static_cast<size_t>(i)] = i;
     auto scores = engine->Score(ids);
@@ -245,8 +246,8 @@ class CoalesceTest : public ::testing::Test {
 
   static Database* db_a_;
   static Database* db_b_;
-  static DbGraph* dbg_a_;
-  static DbGraph* dbg_b_;
+  static std::shared_ptr<DbGraph> dbg_a_;
+  static std::shared_ptr<DbGraph> dbg_b_;
   static NodeTypeId users_;
   static std::string ckpt_path_;
   static std::vector<double> ref_a_;
@@ -255,8 +256,8 @@ class CoalesceTest : public ::testing::Test {
 
 Database* CoalesceTest::db_a_ = nullptr;
 Database* CoalesceTest::db_b_ = nullptr;
-DbGraph* CoalesceTest::dbg_a_ = nullptr;
-DbGraph* CoalesceTest::dbg_b_ = nullptr;
+std::shared_ptr<DbGraph> CoalesceTest::dbg_a_;
+std::shared_ptr<DbGraph> CoalesceTest::dbg_b_;
 NodeTypeId CoalesceTest::users_ = 0;
 std::string CoalesceTest::ckpt_path_;
 std::vector<double> CoalesceTest::ref_a_;
@@ -331,10 +332,9 @@ TEST_F(CoalesceTest, CoalesceUnderMidFlightAdvance) {
     // Alternate worlds while scorers run: even versions = A, odd = B.
     int flips = 0;
     while (!stop.load(std::memory_order_relaxed) && flips < 200) {
-      const HeteroGraph* next =
-          (engine->snapshot_version() % 2 == 0) ? &dbg_b_->graph
-                                                : &dbg_a_->graph;
-      ASSERT_TRUE(engine->AdvanceSnapshot(next, Now()).ok());
+      const auto& next =
+          (engine->snapshot_version() % 2 == 0) ? dbg_b_ : dbg_a_;
+      ASSERT_TRUE(engine->ApplyDelta(SharedGraph(next), Now(), {}).ok());
       ++flips;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -386,8 +386,8 @@ TEST_F(CoalesceTest, TwoRequestsShareOneBatchAndDedupOverlap) {
   EXPECT_EQ(s.coalesced_requests, 2);  // both rode the shared batch
   EXPECT_EQ(s.rows_executed, 4);       // {1,2,3,4}
   EXPECT_EQ(s.dedup_rows, 2);          // {2,3} sampled/forwarded once
-  EXPECT_EQ(engine->stats().coalesced_batches, 1);
-  EXPECT_EQ(engine->stats().coalesced_rows, 4);
+  EXPECT_EQ(engine->stats().requests, 1);
+  EXPECT_EQ(engine->stats().entities_scored, 4);
 }
 
 TEST_F(CoalesceTest, DeadlineMarginFlushesWithoutWaiting) {
@@ -414,6 +414,21 @@ TEST_F(CoalesceTest, DeadlineMarginFlushesWithoutWaiting) {
   EXPECT_EQ(scheduler.stats().near_deadline_flushes, 1);
 }
 
+TEST_F(CoalesceTest, QueueWaitCoversTheGatherWindow) {
+  auto engine = MakeEngine();
+  CoalesceOptions copts;
+  copts.wait_window_ms = 5.0;
+  CoalescingScheduler scheduler(engine.get(), copts);
+
+  // A lone request waits out the whole window before its batch executes,
+  // and its response says so (the engine's admission gate is off here).
+  ScoreRequest req;
+  req.entity_ids = {4, 9};
+  auto result = scheduler.Score(req);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GE(result.value().queue_wait_ms, copts.wait_window_ms);
+}
+
 TEST_F(CoalesceTest, ExpiredAtEnqueueRefusedBeforeJoining) {
   FakeClock clock;
   ServeOptions opts;
@@ -434,45 +449,53 @@ TEST_F(CoalesceTest, ExpiredAtEnqueueRefusedBeforeJoining) {
 // ------------------------------------------------------ invalid-id policy
 
 TEST_F(CoalesceTest, InvalidIdRejectIsolatesTheOffendingMember) {
-  auto engine = MakeEngine();  // default policy: kReject
+  auto engine = MakeEngine();
   CoalesceOptions copts;
   copts.wait_window_ms = 10000.0;
-  copts.max_batch_rows = 4;  // {bad,1} + {2,3} close the batch
+  copts.max_batch_rows = 6;  // all three members' rows close the batch
   CoalescingScheduler scheduler(engine.get(), copts);
 
-  Result<ScoreResponse> result_a = Status::Internal("unset");
-  Result<ScoreResponse> result_b = Status::Internal("unset");
-  std::thread ta([&] {
-    ScoreRequest req;
-    req.entity_ids = {kUsers + 100, 1};  // out of range
-    result_a = scheduler.Score(req);
-  });
-  std::thread tb([&] {
-    ScoreRequest req;
-    req.entity_ids = {2, 3};
-    result_b = scheduler.Score(req);
-  });
-  ta.join();
-  tb.join();
-
-  // The offender is rejected per the engine's policy; its batch-mate is
-  // served normally from the same shared execution.
-  ASSERT_FALSE(result_a.ok());
-  EXPECT_EQ(result_a.status().code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(result_b.ok());
-  EXPECT_EQ(result_b.value().scores[0], ref_a_[2]);
-  EXPECT_EQ(result_b.value().scores[1], ref_a_[3]);
+  // One batch, three members, each with its own id policy.
+  ScoreRequest reject;  // default policy: kReject
+  reject.entity_ids = {kUsers + 100, 1};
+  ScoreRequest nan_row;
+  nan_row.entity_ids = {kUsers + 200, 7};
+  nan_row.invalid_id_policy = InvalidIdPolicy::kNanRow;
+  ScoreRequest clean;
+  clean.entity_ids = {2, 3};
+  const ScoreRequest* requests[3] = {&reject, &nan_row, &clean};
+  Result<ScoreResponse> results[3] = {Status::Internal("unset"),
+                                      Status::Internal("unset"),
+                                      Status::Internal("unset")};
+  std::vector<std::thread> members;
+  for (int m = 0; m < 3; ++m) {
+    members.emplace_back(
+        [&, m] { results[m] = scheduler.Score(*requests[m]); });
+  }
+  for (auto& t : members) t.join();
   EXPECT_EQ(scheduler.stats().batches, 1);
+
+  // The kReject offender is rejected; the kNanRow one gets its bad row
+  // NaN-flagged; every resolved row equals the solo reference exactly.
+  ASSERT_FALSE(results[0].ok());
+  EXPECT_EQ(results[0].status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(results[1].ok());
+  EXPECT_TRUE(std::isnan(results[1].value().scores[0]));
+  EXPECT_EQ(results[1].value().row_flags[0], kRowInvalid);
+  EXPECT_EQ(results[1].value().rows_invalid, 1);
+  EXPECT_EQ(results[1].value().scores[1], ref_a_[7]);
+  ASSERT_TRUE(results[2].ok());
+  EXPECT_EQ(results[2].value().scores[0], ref_a_[2]);
+  EXPECT_EQ(results[2].value().scores[1], ref_a_[3]);
 }
 
 TEST_F(CoalesceTest, InvalidIdNanRowPolicyNansOnlyTheBadRow) {
-  ServeOptions opts;
-  opts.invalid_id_policy = InvalidIdPolicy::kNanRow;
-  auto engine = MakeEngine(opts);
+  auto engine = MakeEngine();
   CoalescingScheduler scheduler(engine.get());
 
   ScoreRequest req;
   req.entity_ids = {kUsers + 5, 7};
+  req.invalid_id_policy = InvalidIdPolicy::kNanRow;
   auto result = scheduler.Score(req);
   ASSERT_TRUE(result.ok());
   const ScoreResponse& resp = result.value();
@@ -522,10 +545,8 @@ TEST_F(CoalesceTest, ShardSwapKeepsServingUnderDirectConcurrentScores) {
     });
   }
   for (int i = 0; i < 8; ++i) {
-    const HeteroGraph* next = (engine->snapshot_version() % 2 == 0)
-                                  ? &dbg_b_->graph
-                                  : &dbg_a_->graph;
-    ASSERT_TRUE(engine->AdvanceSnapshot(next, Now()).ok());
+    const auto& next = (engine->snapshot_version() % 2 == 0) ? dbg_b_ : dbg_a_;
+    ASSERT_TRUE(engine->ApplyDelta(SharedGraph(next), Now(), {}).ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   stop.store(true, std::memory_order_relaxed);
@@ -534,18 +555,15 @@ TEST_F(CoalesceTest, ShardSwapKeepsServingUnderDirectConcurrentScores) {
   EXPECT_EQ(failures.load(), 0);
   // 8 advances + 1 from LoadCheckpoint (new weights retire old embeddings).
   EXPECT_EQ(engine->stats().shard_swaps, 9);
-  const ServeHealth h = engine->HealthStatus();
-  EXPECT_EQ(h.cache_shards, 4);
-  EXPECT_EQ(h.shard_swaps, 9);
-  EXPECT_EQ(h.snapshot_version, 8);
+  EXPECT_EQ(engine->HealthStatus().cache_shards, 4);
+  EXPECT_EQ(engine->snapshot_version(), 8);
 }
 
 TEST_F(CoalesceTest, RowFlagsExposedOnDirectEngineResponses) {
-  ServeOptions opts;
-  opts.invalid_id_policy = InvalidIdPolicy::kNanRow;
-  auto engine = MakeEngine(opts);
+  auto engine = MakeEngine();
   ScoreRequest req;
   req.entity_ids = {5, kUsers + 9};
+  req.invalid_id_policy = InvalidIdPolicy::kNanRow;
   auto result = engine->ScoreWithOptions(req);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().row_flags.size(), 2u);
@@ -553,7 +571,7 @@ TEST_F(CoalesceTest, RowFlagsExposedOnDirectEngineResponses) {
   EXPECT_EQ(result.value().row_flags[1], kRowInvalid);
 }
 
-TEST_F(CoalesceTest, HealthSurfacesCoalesceAndShardInfo) {
+TEST_F(CoalesceTest, EachStatisticHasOneSource) {
   auto engine = MakeEngine();
   CoalesceOptions copts;
   copts.wait_window_ms = 0.0;
@@ -562,13 +580,18 @@ TEST_F(CoalesceTest, HealthSurfacesCoalesceAndShardInfo) {
   req.entity_ids = {1, 2, 3};
   ASSERT_TRUE(scheduler.Score(req).ok());
 
+  // Batching lives in the scheduler, traffic in the engine's stats, and
+  // configuration/state in the health probe.
+  const CoalesceStats cs = scheduler.stats();
+  EXPECT_EQ(cs.batches, 1);
+  EXPECT_EQ(cs.rows_executed, 3);
+  const ServeStats s = engine->stats();
+  EXPECT_EQ(s.requests, 1);
+  EXPECT_EQ(s.entities_scored, 3);
+  EXPECT_EQ(s.shard_swaps, 1);  // LoadCheckpoint retires the embeddings
   const ServeHealth h = engine->HealthStatus();
   EXPECT_EQ(h.cache_shards, 8);  // default cache_shards
-  EXPECT_EQ(h.coalesced_batches, 1);
-  EXPECT_EQ(h.coalesced_rows, 3);
-  const ServeStats s = engine->stats();
-  EXPECT_EQ(s.coalesced_batches, 1);
-  EXPECT_EQ(s.coalesced_rows, 3);
+  EXPECT_TRUE(h.loaded);
 }
 
 }  // namespace

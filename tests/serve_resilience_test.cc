@@ -112,10 +112,10 @@ class ResilienceTest : public ::testing::Test {
     cfg.num_categories = 4;
     cfg.horizon_days = 150;
     db_ = new Database(MakeECommerceDb(cfg));
-    dbg_ = new DbGraph(BuildDbGraph(*db_).value());
+    dbg_ = std::make_shared<DbGraph>(BuildDbGraph(*db_).value());
     // An independent build of the same database: a fresher snapshot with
     // the identical layout (and, being the same data, identical scores).
-    dbg2_ = new DbGraph(BuildDbGraph(*db_).value());
+    dbg2_ = std::make_shared<DbGraph>(BuildDbGraph(*db_).value());
     users_ = dbg_->graph.FindNodeType("users").value();
 
     auto rq = AnalyzeQuery(ParseQuery(kQuery).value(), *db_).value();
@@ -139,10 +139,9 @@ class ResilienceTest : public ::testing::Test {
 
   static void TearDownTestSuite() {
     std::remove(ckpt_path_.c_str());
-    delete dbg2_;
-    delete dbg_;
+    dbg2_.reset();
+    dbg_.reset();
     delete db_;
-    dbg2_ = dbg_ = nullptr;
     db_ = nullptr;
   }
 
@@ -169,7 +168,7 @@ class ResilienceTest : public ::testing::Test {
   static std::unique_ptr<InferenceEngine> MakeEngine(
       const ServeOptions& serve = {}) {
     auto engine = std::make_unique<InferenceEngine>(
-        &dbg_->graph, users_, TaskKind::kBinaryClassification, 2, Gnn(),
+        SharedGraph(dbg_), users_, TaskKind::kBinaryClassification, 2, Gnn(),
         Sampler(), Now(), serve);
     EXPECT_TRUE(engine->LoadCheckpoint(ckpt_path_).ok());
     return engine;
@@ -188,15 +187,15 @@ class ResilienceTest : public ::testing::Test {
   }
 
   static Database* db_;
-  static DbGraph* dbg_;
-  static DbGraph* dbg2_;
+  static std::shared_ptr<DbGraph> dbg_;
+  static std::shared_ptr<DbGraph> dbg2_;
   static NodeTypeId users_;
   static std::string ckpt_path_;
 };
 
 Database* ResilienceTest::db_ = nullptr;
-DbGraph* ResilienceTest::dbg_ = nullptr;
-DbGraph* ResilienceTest::dbg2_ = nullptr;
+std::shared_ptr<DbGraph> ResilienceTest::dbg_;
+std::shared_ptr<DbGraph> ResilienceTest::dbg2_;
 NodeTypeId ResilienceTest::users_ = 0;
 std::string ResilienceTest::ckpt_path_;
 
@@ -362,12 +361,12 @@ TEST_F(ResilienceTest, BreakerLatchesAfterConsecutiveFailuresAndResets) {
   auto engine = MakeEngine(serve);  // degrade_mode = kFailFast
   EXPECT_EQ(engine->HealthStatus().state, ServeState::kServing);
 
-  EXPECT_FALSE(engine->AdvanceSnapshot(nullptr, Now()).ok());
+  EXPECT_FALSE(engine->ApplyDelta(nullptr, Now(), {}).ok());
   EXPECT_EQ(engine->HealthStatus().state, ServeState::kServing);
   EXPECT_EQ(engine->HealthStatus().consecutive_advance_failures, 1);
   EXPECT_TRUE(engine->Score({1}).ok());  // one failure: still serving
 
-  EXPECT_FALSE(engine->AdvanceSnapshot(nullptr, Now()).ok());
+  EXPECT_FALSE(engine->ApplyDelta(nullptr, Now(), {}).ok());
   const ServeHealth degraded = engine->HealthStatus();
   EXPECT_EQ(degraded.state, ServeState::kDegraded);
   EXPECT_EQ(degraded.consecutive_advance_failures, 2);
@@ -379,7 +378,7 @@ TEST_F(ResilienceTest, BreakerLatchesAfterConsecutiveFailuresAndResets) {
   EXPECT_EQ(refused.status().code(), StatusCode::kOverloaded);
 
   // A successful advance closes the breaker and clears the error.
-  ASSERT_TRUE(engine->AdvanceSnapshot(&dbg2_->graph, Now()).ok());
+  ASSERT_TRUE(engine->ApplyDelta(SharedGraph(dbg2_), Now(), {}).ok());
   const ServeHealth healed = engine->HealthStatus();
   EXPECT_EQ(healed.state, ServeState::kServing);
   EXPECT_EQ(healed.consecutive_advance_failures, 0);
@@ -392,7 +391,7 @@ TEST_F(ResilienceTest, StaleSnapshotModeKeepsAnsweringWhenDegraded) {
   serve.degrade_mode = DegradeMode::kStaleSnapshot;
   serve.breaker_threshold = 1;
   auto engine = MakeEngine(serve);
-  ASSERT_FALSE(engine->AdvanceSnapshot(nullptr, Now()).ok());
+  ASSERT_FALSE(engine->ApplyDelta(nullptr, Now(), {}).ok());
   ASSERT_EQ(engine->HealthStatus().state, ServeState::kDegraded);
 
   ScoreRequest request;
@@ -416,7 +415,7 @@ TEST_F(ResilienceTest, CacheOnlyModeServesLiveHitsAndNansMisses) {
   auto engine = MakeEngine(serve);
   const std::vector<int64_t> hot = {2, 4, 6};
   ASSERT_TRUE(engine->WarmUp(hot).ok());
-  ASSERT_FALSE(engine->AdvanceSnapshot(nullptr, Now()).ok());
+  ASSERT_FALSE(engine->ApplyDelta(nullptr, Now(), {}).ok());
   ASSERT_EQ(engine->HealthStatus().state, ServeState::kDegraded);
 
   ScoreRequest request;
@@ -443,8 +442,8 @@ TEST_F(ResilienceTest, CacheOnlyNeverServesDeadVersionEntries) {
   // Warm at version 0, then advance: version-0 subgraph entries are dead
   // keys. Latch the breaker before anything is cached at version 1.
   ASSERT_TRUE(engine->WarmUp({2, 4, 6}).ok());
-  ASSERT_TRUE(engine->AdvanceSnapshot(&dbg2_->graph, Now()).ok());
-  ASSERT_FALSE(engine->AdvanceSnapshot(nullptr, Now()).ok());
+  ASSERT_TRUE(engine->ApplyDelta(SharedGraph(dbg2_), Now(), {}).ok());
+  ASSERT_FALSE(engine->ApplyDelta(nullptr, Now(), {}).ok());
   ASSERT_EQ(engine->HealthStatus().state, ServeState::kDegraded);
 
   ScoreRequest request;
@@ -458,9 +457,9 @@ TEST_F(ResilienceTest, CacheOnlyNeverServesDeadVersionEntries) {
   for (double s : resp.value().scores) EXPECT_TRUE(std::isnan(s));
 
   // Entries cached at the live version DO serve: heal, warm, re-latch.
-  ASSERT_TRUE(engine->AdvanceSnapshot(&dbg2_->graph, Now()).ok());
+  ASSERT_TRUE(engine->ApplyDelta(SharedGraph(dbg2_), Now(), {}).ok());
   ASSERT_TRUE(engine->WarmUp({2, 4, 6}).ok());
-  ASSERT_FALSE(engine->AdvanceSnapshot(nullptr, Now()).ok());
+  ASSERT_FALSE(engine->ApplyDelta(nullptr, Now(), {}).ok());
   auto live = engine->ScoreWithOptions(request);
   ASSERT_TRUE(live.ok());
   EXPECT_EQ(live.value().rows_resolved, 3);
@@ -527,7 +526,7 @@ TEST_F(ResilienceTest, AllocFaultDegradesTheBatchNotTheRequest) {
 }
 
 TEST_F(ResilienceTest, CheckpointLoadFaultLeavesEngineUnloaded) {
-  InferenceEngine engine(&dbg_->graph, users_,
+  InferenceEngine engine(SharedGraph(dbg_), users_,
                          TaskKind::kBinaryClassification, 2, Gnn(), Sampler(),
                          Now());
   FaultInjector::Global().Arm(FaultSite::kServeCheckpointLoad);
@@ -554,8 +553,8 @@ TEST_F(ResilienceTest, EmptyRequestIsOkEmptyAndUncounted) {
 }
 
 TEST_F(ResilienceTest, RejectPolicyRefusesTheWholeRequest) {
-  auto engine = MakeEngine();  // invalid_id_policy = kReject
-  ScoreRequest request;
+  auto engine = MakeEngine();
+  ScoreRequest request;  // invalid_id_policy = kReject
   request.entity_ids = {1, -1};
   auto resp = engine->ScoreWithOptions(request);
   ASSERT_FALSE(resp.ok());
@@ -565,12 +564,11 @@ TEST_F(ResilienceTest, RejectPolicyRefusesTheWholeRequest) {
 }
 
 TEST_F(ResilienceTest, NanRowPolicyServesValidRowsAndNansInvalid) {
-  ServeOptions serve;
-  serve.invalid_id_policy = InvalidIdPolicy::kNanRow;
-  auto engine = MakeEngine(serve);
+  auto engine = MakeEngine();
   const int64_t out_of_range = dbg_->graph.num_nodes(users_);
   ScoreRequest request;
   request.entity_ids = {5, -1, 17, out_of_range, -1, 5};
+  request.invalid_id_policy = InvalidIdPolicy::kNanRow;
   auto resp = engine->ScoreWithOptions(request);
   ASSERT_TRUE(resp.ok());
   // Invalid rows are a documented per-row semantic, not degradation.
@@ -585,8 +583,7 @@ TEST_F(ResilienceTest, NanRowPolicyServesValidRowsAndNansInvalid) {
   EXPECT_TRUE(std::isnan(resp.value().scores[4]));
   EXPECT_EQ(resp.value().scores[5], want[0]);  // duplicate of row 0
 
-  // The plain Score wrapper keeps its strict contract regardless of the
-  // engine's configured policy.
+  // The plain Score wrapper keeps its strict contract.
   EXPECT_FALSE(engine->Score({-1}).ok());
 }
 
@@ -598,7 +595,7 @@ TEST_F(ResilienceTest, PoisonedAdvanceLeavesSnapshotFullyServable) {
   ASSERT_TRUE(before.ok());
 
   FaultInjector::Global().Arm(FaultSite::kServeSnapshotAdvance);
-  auto st = engine->AdvanceSnapshot(&dbg2_->graph, Now());
+  auto st = engine->ApplyDelta(SharedGraph(dbg2_), Now(), {});
   ASSERT_FALSE(st.ok());
   FaultInjector::Global().Reset();
 
@@ -610,7 +607,7 @@ TEST_F(ResilienceTest, PoisonedAdvanceLeavesSnapshotFullyServable) {
   EXPECT_EQ(after.value(), before.value());
 
   // And the engine can advance cleanly afterwards.
-  ASSERT_TRUE(engine->AdvanceSnapshot(&dbg2_->graph, Now()).ok());
+  ASSERT_TRUE(engine->ApplyDelta(SharedGraph(dbg2_), Now(), {}).ok());
   EXPECT_EQ(engine->snapshot_version(), 1);
   auto advanced = engine->Score(MixedIds());
   ASSERT_TRUE(advanced.ok());
@@ -647,20 +644,20 @@ TEST_F(ResilienceTest, ConcurrentScoresSurviveFailingAndHealingAdvances) {
     });
   }
   while (scored.load() == 0) std::this_thread::yield();
-  const DbGraph* graphs[2] = {dbg_, dbg2_};
+  const std::shared_ptr<DbGraph> graphs[2] = {dbg_, dbg2_};
   for (int round = 0; round < 12; ++round) {
     switch (round % 3) {
       case 0:
         FaultInjector::Global().Arm(FaultSite::kServeSnapshotAdvance);
-        ASSERT_FALSE(engine->AdvanceSnapshot(&dbg2_->graph, Now()).ok());
+        ASSERT_FALSE(engine->ApplyDelta(SharedGraph(dbg2_), Now(), {}).ok());
         FaultInjector::Global().Reset();
         break;
       case 1:
-        ASSERT_FALSE(engine->AdvanceSnapshot(nullptr, Now()).ok());
+        ASSERT_FALSE(engine->ApplyDelta(nullptr, Now(), {}).ok());
         break;
       case 2:
         ASSERT_TRUE(
-            engine->AdvanceSnapshot(&graphs[(round / 3) % 2]->graph, Now())
+            engine->ApplyDelta(SharedGraph(graphs[(round / 3) % 2]), Now(), {})
                 .ok());
         break;
     }
@@ -698,10 +695,10 @@ TEST_F(ResilienceTest, SubgraphCacheChurnsAcrossVersionsWithoutCorruption) {
     });
   }
   while (scored.load() == 0) std::this_thread::yield();
-  const DbGraph* graphs[2] = {dbg2_, dbg_};
+  const std::shared_ptr<DbGraph> graphs[2] = {dbg2_, dbg_};
   for (int round = 0; round < 8; ++round) {
     ASSERT_TRUE(
-        engine->AdvanceSnapshot(&graphs[round % 2]->graph, Now()).ok());
+        engine->ApplyDelta(SharedGraph(graphs[round % 2]), Now(), {}).ok());
   }
   stop.store(true);
   for (auto& th : threads) th.join();

@@ -1,7 +1,8 @@
 // Tests of the online inference engine (src/serve/): LRU cache semantics,
 // bit-identical scores across every cache/micro-batch configuration,
 // warm-up, snapshot advancement, checkpoint validation, query compilation
-// for serving, and concurrent request correctness.
+// for serving (including plan lifetime), and concurrent request
+// correctness.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -93,10 +94,10 @@ class ServeTest : public ::testing::Test {
     cfg.num_categories = 4;
     cfg.horizon_days = 150;
     db_ = new Database(MakeECommerceDb(cfg));
-    dbg_ = new DbGraph(BuildDbGraph(*db_).value());
+    dbg_ = std::make_shared<DbGraph>(BuildDbGraph(*db_).value());
     // An independent build of the same database: a fresher snapshot with
-    // the identical layout, for AdvanceSnapshot tests.
-    dbg2_ = new DbGraph(BuildDbGraph(*db_).value());
+    // the identical layout, for snapshot-advance tests.
+    dbg2_ = std::make_shared<DbGraph>(BuildDbGraph(*db_).value());
     users_ = dbg_->graph.FindNodeType("users").value();
 
     auto rq = AnalyzeQuery(ParseQuery(kQuery).value(), *db_).value();
@@ -120,10 +121,9 @@ class ServeTest : public ::testing::Test {
 
   static void TearDownTestSuite() {
     std::remove(ckpt_path_.c_str());
-    delete dbg2_;
-    delete dbg_;
+    dbg2_.reset();
+    dbg_.reset();
     delete db_;
-    dbg2_ = dbg_ = nullptr;
     db_ = nullptr;
   }
 
@@ -145,24 +145,25 @@ class ServeTest : public ::testing::Test {
 
   /// A loaded engine over the shared checkpoint.
   static std::unique_ptr<InferenceEngine> MakeEngine(
-      const ServeOptions& serve = {}) {
+      const ServeOptions& serve = {},
+      const std::shared_ptr<DbGraph>& dbg = dbg_) {
     auto engine = std::make_unique<InferenceEngine>(
-        &dbg_->graph, users_, TaskKind::kBinaryClassification, 2, Gnn(),
+        SharedGraph(dbg), users_, TaskKind::kBinaryClassification, 2, Gnn(),
         Sampler(), Now(), serve);
     EXPECT_TRUE(engine->LoadCheckpoint(ckpt_path_).ok());
     return engine;
   }
 
   static Database* db_;
-  static DbGraph* dbg_;
-  static DbGraph* dbg2_;
+  static std::shared_ptr<DbGraph> dbg_;
+  static std::shared_ptr<DbGraph> dbg2_;
   static NodeTypeId users_;
   static std::string ckpt_path_;
 };
 
 Database* ServeTest::db_ = nullptr;
-DbGraph* ServeTest::dbg_ = nullptr;
-DbGraph* ServeTest::dbg2_ = nullptr;
+std::shared_ptr<DbGraph> ServeTest::dbg_;
+std::shared_ptr<DbGraph> ServeTest::dbg2_;
 NodeTypeId ServeTest::users_ = 0;
 std::string ServeTest::ckpt_path_;
 
@@ -175,22 +176,25 @@ std::vector<int64_t> MixedIds() {
 // ----------------------------------------------------------- basic contract
 
 TEST_F(ServeTest, ScoreBeforeLoadFails) {
-  InferenceEngine engine(&dbg_->graph, users_,
+  InferenceEngine engine(SharedGraph(dbg_), users_,
                          TaskKind::kBinaryClassification, 2, Gnn(), Sampler(),
                          Now());
   EXPECT_FALSE(engine.loaded());
-  EXPECT_FALSE(engine.Score({0}).ok());
+  EXPECT_EQ(engine.Score({0}).status().code(),
+            StatusCode::kFailedPrecondition);
+  // WarmUp runs the same body, so it refuses the placeholder weights too.
+  EXPECT_EQ(engine.WarmUp({0}).code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ServeTest, LoadCheckpointRejectsMissingAndMismatched) {
-  InferenceEngine engine(&dbg_->graph, users_,
+  InferenceEngine engine(SharedGraph(dbg_), users_,
                          TaskKind::kBinaryClassification, 2, Gnn(), Sampler(),
                          Now());
   EXPECT_FALSE(engine.LoadCheckpoint("/nonexistent/nope.ckpt").ok());
 
   GnnConfig wrong = Gnn();
   wrong.hidden_dim = 24;
-  InferenceEngine mismatched(&dbg_->graph, users_,
+  InferenceEngine mismatched(SharedGraph(dbg_), users_,
                              TaskKind::kBinaryClassification, 2, wrong,
                              Sampler(), Now());
   EXPECT_FALSE(mismatched.LoadCheckpoint(ckpt_path_).ok());
@@ -351,21 +355,30 @@ TEST_F(ServeTest, AdvanceSnapshotBumpsVersionAndInvalidatesEmbeddings) {
 
   // Advance onto an independently built graph of the same database: same
   // layout, same data, so scores must not change — but the engine cannot
-  // know that, so cached embeddings are dropped and recomputed.
+  // know that. With no delta the chain check cannot pass, so cached
+  // embeddings are swapped out wholesale and recomputed.
   const ServeStats pre = engine->stats();
-  ASSERT_TRUE(engine->AdvanceSnapshot(&dbg2_->graph, Now()).ok());
+  ASSERT_TRUE(engine->ApplyDelta(SharedGraph(dbg2_), Now(), {}).ok());
   EXPECT_EQ(engine->snapshot_version(), 1);
+  EXPECT_EQ(engine->stats().shard_swaps, pre.shard_swaps + 1);
 
   const auto after = engine->Score(MixedIds());
   ASSERT_TRUE(after.ok());
   const ServeStats post = engine->stats();
   // Fresh misses on both caches: embeddings were cleared, and the old
   // subgraph entries are dead keys under the new snapshot version.
+  EXPECT_EQ(post.embedding_hits, pre.embedding_hits);
   EXPECT_GT(post.embedding_misses, pre.embedding_misses);
   EXPECT_GT(post.subgraph_misses, pre.subgraph_misses);
-  for (size_t i = 0; i < before.value().size(); ++i) {
-    EXPECT_EQ(after.value()[i], before.value()[i]);
-  }
+  EXPECT_EQ(after.value(), before.value());  // exact doubles
+
+  // And exactly what a cold engine built on the new graph answers.
+  ServeOptions off;
+  off.enable_subgraph_cache = false;
+  off.enable_embedding_cache = false;
+  const auto cold = MakeEngine(off, dbg2_)->Score(MixedIds());
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(after.value(), cold.value());
 }
 
 TEST_F(ServeTest, AdvanceSnapshotRejectsMismatchedLayout) {
@@ -373,8 +386,10 @@ TEST_F(ServeTest, AdvanceSnapshotRejectsMismatchedLayout) {
   HeteroGraph other;
   ASSERT_TRUE(other.AddNodeType("users", 3).ok());
   ASSERT_TRUE(other.SetNodeFeatures(0, Tensor::Ones(3, 2)).ok());
-  EXPECT_FALSE(engine->AdvanceSnapshot(&other, 1).ok());
-  EXPECT_FALSE(engine->AdvanceSnapshot(nullptr, 1).ok());
+  EXPECT_FALSE(
+      engine->ApplyDelta(std::make_shared<HeteroGraph>(std::move(other)), 1, {})
+          .ok());
+  EXPECT_FALSE(engine->ApplyDelta(nullptr, 1, {}).ok());
   EXPECT_EQ(engine->snapshot_version(), 0);
 }
 
@@ -389,6 +404,7 @@ TEST_F(ServeTest, CompileForServingResolvesThePlan) {
   EXPECT_EQ(plan.value().kind, TaskKind::kBinaryClassification);
   EXPECT_EQ(plan.value().entity_table, "users");
   ASSERT_NE(plan.value().graph, nullptr);
+  EXPECT_EQ(plan.value().graph->num_nodes(plan.value().entity_type), 80);
   EXPECT_EQ(plan.value().gnn.hidden_dim, 16);
   EXPECT_EQ(plan.value().sampler.fanouts, (std::vector<int64_t>{4, 4}));
   EXPECT_EQ(plan.value().sampler.policy, SamplePolicy::kMostRecent);
@@ -405,10 +421,16 @@ TEST_F(ServeTest, CompileForServingResolvesThePlan) {
 }
 
 TEST_F(ServeTest, PlanConstructedEngineServesTheCheckpoint) {
-  PredictiveQueryEngine pq(db_);
-  auto plan = pq.CompileForServing(
-      std::string(kQuery) +
-      " USING GNN WITH hidden=16, layers=2, fanout=4, policy=recent, seed=3");
+  // The plan shares the query engine's graph, so it (and the engine built
+  // from it) stays servable after the PredictiveQueryEngine is destroyed.
+  auto compile = [] {
+    PredictiveQueryEngine pq(db_);
+    return pq.CompileForServing(
+        std::string(kQuery) +
+        " USING GNN WITH hidden=16, layers=2, fanout=4, policy=recent, "
+        "seed=3");
+  };
+  Result<ServePlan> plan = compile();
   ASSERT_TRUE(plan.ok());
   InferenceEngine engine(plan.value());
   ASSERT_TRUE(engine.LoadCheckpoint(ckpt_path_).ok());

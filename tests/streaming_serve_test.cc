@@ -101,18 +101,9 @@ class StreamingServeTest : public ::testing::Test {
     return sopts;
   }
 
-  /// A loaded engine over `graph` at cutoff `now` (shared checkpoint).
-  static std::unique_ptr<InferenceEngine> MakeEngine(
-      const HeteroGraph* graph, Timestamp now, const ServeOptions& serve) {
-    auto engine = std::make_unique<InferenceEngine>(
-        graph, users_, TaskKind::kBinaryClassification, 2, Gnn(), Sampler(),
-        now, serve);
-    EXPECT_TRUE(engine->LoadCheckpoint(ckpt_path_).ok());
-    return engine;
-  }
-
-  /// Epoch-owning variant for stream-published graphs: the engine keeps
-  /// the epoch alive even after the stream publishes a newer one.
+  /// A loaded engine over `graph` at cutoff `now` (shared checkpoint). The
+  /// engine keeps a stream-published epoch alive even after the stream
+  /// publishes a newer one.
   static std::unique_ptr<InferenceEngine> MakeEngine(
       std::shared_ptr<const HeteroGraph> graph, Timestamp now,
       const ServeOptions& serve) {
@@ -221,13 +212,14 @@ TEST_F(StreamingServeTest, ScoresBitIdenticalIncrementalVsRebuilt) {
 
     // The oracle: a from-scratch batch build of the SAME grown database
     // under the stream's frozen plans, served by a fresh engine.
-    auto rebuilt = BuildDbGraph(db_inc, s->RebuildOptions()).value();
-    auto reference = MakeEngine(&rebuilt.graph, now_, configs[c]);
+    auto rebuilt = std::make_shared<DbGraph>(
+        BuildDbGraph(db_inc, s->RebuildOptions()).value());
+    auto reference = MakeEngine(SharedGraph(rebuilt), now_, configs[c]);
 
     // Score ids spanning old and brand-new users.
     std::vector<int64_t> ids = SomeUsers();
-    ids.push_back(rebuilt.graph.num_nodes(users_) - 1);
-    ids.push_back(rebuilt.graph.num_nodes(users_) - 3);
+    ids.push_back(rebuilt->graph.num_nodes(users_) - 1);
+    ids.push_back(rebuilt->graph.num_nodes(users_) - 3);
 
     auto want = reference->Score(ids);
     ASSERT_TRUE(want.ok());
@@ -294,7 +286,7 @@ TEST_F(StreamingServeTest, NodeOnlyDeltaKeepsEveryWarmEntry) {
   EXPECT_EQ(stats.embedding_misses, warm.embedding_misses);
   EXPECT_GT(stats.embedding_hits, warm.embedding_hits);
   EXPECT_EQ(stats.shard_swaps, warm.shard_swaps);
-  EXPECT_EQ(stats.snapshot_version, warm.snapshot_version + 1);
+  EXPECT_EQ(engine->snapshot_version(), 1);
 }
 
 TEST_F(StreamingServeTest, DeltaInvalidatesExactlyTheTouchedNeighborhoods) {
@@ -357,8 +349,9 @@ TEST_F(StreamingServeTest, DeltaInvalidatesExactlyTheTouchedNeighborhoods) {
   EXPECT_EQ(stats.shard_swaps, warm.shard_swaps);
 
   // And the refreshed world matches the from-scratch oracle exactly.
-  auto rebuilt = BuildDbGraph(db, stream->RebuildOptions()).value();
-  auto reference = MakeEngine(&rebuilt.graph, now_, ServeOptions{});
+  auto rebuilt = std::make_shared<DbGraph>(
+      BuildDbGraph(db, stream->RebuildOptions()).value());
+  auto reference = MakeEngine(SharedGraph(rebuilt), now_, ServeOptions{});
   ExpectScoresExactlyEqual(rescored.value(),
                            reference->Score(all_users).value());
 }
@@ -424,8 +417,9 @@ TEST_F(StreamingServeTest, BrokenDeltaChainFallsBackToWholesaleSwap) {
   // Wholesale, not precise: the embedding cache was epoch-swapped.
   EXPECT_EQ(engine->stats().shard_swaps, warm.shard_swaps + 1);
 
-  auto rebuilt = BuildDbGraph(db, stream->RebuildOptions()).value();
-  auto reference = MakeEngine(&rebuilt.graph, now_, ServeOptions{});
+  auto rebuilt = std::make_shared<DbGraph>(
+      BuildDbGraph(db, stream->RebuildOptions()).value());
+  auto reference = MakeEngine(SharedGraph(rebuilt), now_, ServeOptions{});
   ExpectScoresExactlyEqual(engine->Score(ids).value(),
                            reference->Score(ids).value());
 }
@@ -462,8 +456,9 @@ TEST_F(StreamingServeTest, PoisonedDeltaLeavesPreviousSnapshotServable) {
   ASSERT_TRUE(
       engine->ApplyDelta(result.value().graph, now_, result.value().delta)
           .ok());
-  auto rebuilt = BuildDbGraph(db, stream->RebuildOptions()).value();
-  auto reference = MakeEngine(&rebuilt.graph, now_, ServeOptions{});
+  auto rebuilt = std::make_shared<DbGraph>(
+      BuildDbGraph(db, stream->RebuildOptions()).value());
+  auto reference = MakeEngine(SharedGraph(rebuilt), now_, ServeOptions{});
   ExpectScoresExactlyEqual(engine->Score(ids).value(),
                            reference->Score(ids).value());
 }
@@ -485,8 +480,9 @@ TEST_F(StreamingServeTest, StreamRecoveryEpochServesBitIdentically) {
   ASSERT_TRUE(
       engine->ApplyDelta(result.value().graph, now_, result.value().delta)
           .ok());
-  auto rebuilt = BuildDbGraph(db, stream->RebuildOptions()).value();
-  auto reference = MakeEngine(&rebuilt.graph, now_, ServeOptions{});
+  auto rebuilt = std::make_shared<DbGraph>(
+      BuildDbGraph(db, stream->RebuildOptions()).value());
+  auto reference = MakeEngine(SharedGraph(rebuilt), now_, ServeOptions{});
   ExpectScoresExactlyEqual(engine->Score(SomeUsers()).value(),
                            reference->Score(SomeUsers()).value());
 }
@@ -535,8 +531,9 @@ TEST_F(StreamingServeTest, ConcurrentScoresAndDeltasStayConsistent) {
   for (auto& th : scorers) th.join();
   EXPECT_EQ(failures.load(), 0);
 
-  auto rebuilt = BuildDbGraph(db, stream->RebuildOptions()).value();
-  auto reference = MakeEngine(&rebuilt.graph, now_, ServeOptions{});
+  auto rebuilt = std::make_shared<DbGraph>(
+      BuildDbGraph(db, stream->RebuildOptions()).value());
+  auto reference = MakeEngine(SharedGraph(rebuilt), now_, ServeOptions{});
   ExpectScoresExactlyEqual(engine->Score(ids).value(),
                            reference->Score(ids).value());
 }
