@@ -146,6 +146,12 @@ struct GradCase {
   int64_t cols;
 };
 
+// Prints e.g. "tanh_2x3". Without it gtest prints the raw bytes of `op`'s
+// address, so the discovered test names change from one run to the next.
+void PrintTo(const GradCase& c, std::ostream* os) {
+  *os << c.op << "_" << c.rows << "x" << c.cols;
+}
+
 class AutogradSweepTest : public testing::TestWithParam<GradCase> {};
 
 TEST_P(AutogradSweepTest, NumericalGradientMatches) {
