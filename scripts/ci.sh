@@ -56,6 +56,10 @@ case "$MODE" in
     run_preset default -L integration
     run_preset default -L slow
     scripts/check_run_report.sh build
+    # Serial lane: with no pool workers every request is one inline slice
+    # at a time; the same tests and goldens must hold.
+    RELGRAPH_NUM_THREADS=1 ctest --preset default -j "$JOBS" -L serve
+    RELGRAPH_NUM_THREADS=1 scripts/check_run_report.sh build
     ;;
   nosimd)
     # The scalar-kernel lane: same tests, same goldens, vectorization off.

@@ -75,30 +75,31 @@ void FaultInjector::Arm(FaultSite site, int64_t skip, int64_t times) {
   std::lock_guard<std::mutex> lock(mu_);
   SiteState& s = sites_[static_cast<size_t>(site)];
   s = SiteState{};
-  s.armed = true;
   s.mode = Mode::kHitCount;
   s.skip = skip;
   s.times = times;
+  armed_[static_cast<size_t>(site)].store(true, std::memory_order_relaxed);
 }
 
 void FaultInjector::ArmProbability(FaultSite site, double p, uint64_t seed) {
   std::lock_guard<std::mutex> lock(mu_);
   SiteState& s = sites_[static_cast<size_t>(site)];
   s = SiteState{};
-  s.armed = true;
   s.mode = Mode::kProbability;
   s.probability = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
   s.seed = seed;
+  armed_[static_cast<size_t>(site)].store(true, std::memory_order_relaxed);
 }
 
 void FaultInjector::Disarm(FaultSite site) {
   std::lock_guard<std::mutex> lock(mu_);
-  sites_[static_cast<size_t>(site)].armed = false;
+  armed_[static_cast<size_t>(site)].store(false, std::memory_order_relaxed);
 }
 
 void FaultInjector::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& s : sites_) s = SiteState{};
+  for (auto& a : armed_) a.store(false, std::memory_order_relaxed);
 }
 
 Status FaultInjector::ArmFromSpec(const std::string& spec) {
@@ -173,17 +174,25 @@ Result<int> FaultInjector::ArmFromEnv() {
   int armed = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& s : sites_) {
-      if (s.armed) ++armed;
+    for (const auto& a : armed_) {
+      if (a.load(std::memory_order_relaxed)) ++armed;
     }
   }
   return armed;
 }
 
 bool FaultInjector::ShouldFire(FaultSite site) {
+  // Arming and disarming store the flag under mu_, so a thread ordered
+  // after the Arm call sees it; only hits racing the Arm call itself may
+  // miss it, as they could miss the lock.
+  if (!armed_[static_cast<size_t>(site)].load(std::memory_order_relaxed)) {
+    return false;
+  }
   std::lock_guard<std::mutex> lock(mu_);
+  if (!armed_[static_cast<size_t>(site)].load(std::memory_order_relaxed)) {
+    return false;  // disarmed while this hit waited for the lock
+  }
   SiteState& s = sites_[static_cast<size_t>(site)];
-  if (!s.armed) return false;
   const int64_t hit = s.hits++;
   bool fire = false;
   if (s.mode == Mode::kHitCount) {

@@ -2,6 +2,7 @@
 #define RELGRAPH_CORE_FAULT_INJECTION_H_
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -54,7 +55,9 @@ FaultSite FaultSiteFromName(const std::string& name);
 /// ArmFromSpec) so chaos runs of unmodified binaries are one env var away.
 ///
 /// All state is guarded by one mutex: ShouldFire may be called from any
-/// number of serving threads; counters stay exact. Tests arm a site, run
+/// number of serving threads; counters stay exact. A disarmed site is
+/// answered from a per-site atomic flag without taking the mutex, so
+/// production pays one load per site hit. Tests arm a site, run
 /// the code under test, then assert on `fired()` and on the Status the
 /// fault surfaced as. Always `Reset()` between tests.
 class FaultInjector {
@@ -106,7 +109,6 @@ class FaultInjector {
   enum class Mode { kHitCount, kProbability };
 
   struct SiteState {
-    bool armed = false;
     Mode mode = Mode::kHitCount;
     int64_t skip = 0;
     int64_t times = 0;
@@ -118,6 +120,10 @@ class FaultInjector {
 
   mutable std::mutex mu_;
   std::array<SiteState, static_cast<size_t>(FaultSite::kNumSites)> sites_;
+  /// Whether each site is armed: written under mu_, read lock-free by
+  /// ShouldFire's disarmed check.
+  std::array<std::atomic<bool>, static_cast<size_t>(FaultSite::kNumSites)>
+      armed_{};
 };
 
 }  // namespace relgraph

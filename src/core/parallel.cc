@@ -13,10 +13,23 @@ namespace relgraph {
 
 namespace {
 
-/// Set while the current thread is a pool worker (or is executing chunks
-/// of an active region): nested parallel calls run inline instead of
-/// re-entering the pool.
+/// Set while the current thread is a pool worker or is executing chunks of
+/// a region: nested parallel calls run inline instead of re-entering the
+/// pool.
 thread_local bool tls_inline_parallel = false;
+
+/// Marks the current thread inline for one scope, restoring the previous
+/// mark on exit (a worker stays marked).
+class InlineScope {
+ public:
+  InlineScope() : outer_(tls_inline_parallel) { tls_inline_parallel = true; }
+  ~InlineScope() { tls_inline_parallel = outer_; }
+  InlineScope(const InlineScope&) = delete;
+  InlineScope& operator=(const InlineScope&) = delete;
+
+ private:
+  const bool outer_;
+};
 
 int NumThreadsFromEnv() {
   const char* env = std::getenv("RELGRAPH_NUM_THREADS");
@@ -55,7 +68,8 @@ struct ThreadPool::Impl {
   std::deque<std::function<void()>> tasks;
   bool stop = false;
   std::vector<std::thread> workers;
-  /// Serializes parallel regions issued by non-pool threads.
+  /// Held by the caller whose region owns the workers. A caller that finds
+  /// it taken runs its own chunks inline rather than queueing behind it.
   std::mutex region_mu;
 };
 
@@ -127,16 +141,19 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : impl_->workers) t.join();
 }
 
-bool ThreadPool::InWorker() { return tls_inline_parallel; }
-
 void ThreadPool::ParallelChunks(int64_t num_chunks,
                                 const std::function<void(int64_t)>& fn) {
   if (num_chunks <= 0) return;
-  if (num_chunks == 1 || tls_inline_parallel || impl_->workers.empty()) {
+  std::unique_lock<std::mutex> region(impl_->region_mu, std::defer_lock);
+  if (num_chunks == 1 || tls_inline_parallel || impl_->workers.empty() ||
+      !region.try_lock()) {
+    // Inline: the chunks run in order on this thread, and so does any
+    // region they open. Chunk boundaries are the caller's, so the results
+    // are the ones the pool would have produced.
+    InlineScope scope;
     for (int64_t c = 0; c < num_chunks; ++c) fn(c);
     return;
   }
-  std::lock_guard<std::mutex> region(impl_->region_mu);
   auto job = std::make_shared<Job>();
   job->fn = fn;
   job->num_chunks = num_chunks;
@@ -145,9 +162,11 @@ void ThreadPool::ParallelChunks(int64_t num_chunks,
     impl_->job = job;
   }
   impl_->cv.notify_all();
-  tls_inline_parallel = true;  // nested parallelism inside chunks -> inline
-  const int64_t ran = RunChunks(job.get());
-  tls_inline_parallel = false;
+  int64_t ran = 0;
+  {
+    InlineScope scope;  // nested parallelism inside chunks -> inline
+    ran = RunChunks(job.get());
+  }
   {
     std::unique_lock<std::mutex> jl(job->m);
     job->done += ran;
@@ -179,26 +198,29 @@ std::mutex& GlobalPoolMutex() {
   return mu;
 }
 
-ThreadPool*& GlobalPoolSlot() {
-  static ThreadPool* pool = nullptr;
-  return pool;
-}
+/// The started pool, or null before first use. Written only under
+/// GlobalPoolMutex(); read lock-free on every parallel call.
+std::atomic<ThreadPool*> g_pool{nullptr};
 
 }  // namespace
 
 ThreadPool& ThreadPool::Global() {
+  ThreadPool* pool = g_pool.load(std::memory_order_acquire);
+  if (pool != nullptr) return *pool;
   std::lock_guard<std::mutex> lk(GlobalPoolMutex());
-  ThreadPool*& slot = GlobalPoolSlot();
-  if (slot == nullptr) slot = new ThreadPool(NumThreadsFromEnv());
-  return *slot;
+  pool = g_pool.load(std::memory_order_relaxed);
+  if (pool == nullptr) {
+    pool = new ThreadPool(NumThreadsFromEnv());
+    g_pool.store(pool, std::memory_order_release);
+  }
+  return *pool;
 }
 
 void ThreadPool::SetNumThreadsForTesting(int n) {
   RELGRAPH_CHECK(n >= 1);
   std::lock_guard<std::mutex> lk(GlobalPoolMutex());
-  ThreadPool*& slot = GlobalPoolSlot();
-  delete slot;  // joins the old workers
-  slot = new ThreadPool(n);
+  delete g_pool.load(std::memory_order_relaxed);  // joins the old workers
+  g_pool.store(new ThreadPool(n), std::memory_order_release);
 }
 
 int NumThreads() { return ThreadPool::Global().num_threads(); }

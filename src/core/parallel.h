@@ -12,10 +12,10 @@ namespace relgraph {
 /// Deterministic shared thread-pool runtime.
 ///
 /// All parallel hot paths in RelGraph (GEMM kernels, neighbor sampling,
-/// sampler prefetch) run on one lazily-started global pool. The pool is
-/// sized by the `RELGRAPH_NUM_THREADS` environment variable (default:
-/// `std::thread::hardware_concurrency()`, value `1` = fully serial
-/// fallback with no worker threads).
+/// sampler prefetch, serving seed slices) run on one lazily-started
+/// global pool. The pool is sized by the `RELGRAPH_NUM_THREADS`
+/// environment variable (default: `std::thread::hardware_concurrency()`,
+/// value `1` = fully serial fallback with no worker threads).
 ///
 /// Determinism contract: work is split into chunks whose boundaries depend
 /// only on the problem size and the grain — never on the thread count —
@@ -32,8 +32,12 @@ class ThreadPool {
 
   /// Runs fn(chunk_idx) for every chunk in [0, num_chunks), distributing
   /// chunks over the workers; the calling thread participates. Blocks
-  /// until all chunks completed. Calls from inside a pool worker run the
-  /// chunks inline (serially) instead of deadlocking on the pool.
+  /// until all chunks completed. The pool runs one region at a time; the
+  /// chunks run inline (serially, in order, on the calling thread) when
+  /// there is a single chunk, when the pool is serial, when the caller is
+  /// a worker or already inside a region's chunk, or when another caller's
+  /// region holds the workers. Inline chunks never wait for the pool, and
+  /// any region they open runs inline too.
   void ParallelChunks(int64_t num_chunks,
                       const std::function<void(int64_t)>& fn);
 
@@ -41,9 +45,6 @@ class ThreadPool {
   /// With no workers (serial mode) or when called from a worker, the task
   /// runs inline before returning.
   void Submit(std::function<void()> fn);
-
-  /// True when the current thread is one of this pool's workers.
-  static bool InWorker();
 
   /// Test-only: stops the pool and restarts it with `n` threads (n >= 1),
   /// overriding RELGRAPH_NUM_THREADS. Must not be called while parallel

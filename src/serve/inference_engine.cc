@@ -11,6 +11,7 @@
 #include "core/fault_injection.h"
 #include "core/logging.h"
 #include "core/metrics.h"
+#include "core/parallel.h"
 #include "core/timer.h"
 #include "core/trace.h"
 #include "tensor/serialize.h"
@@ -330,11 +331,6 @@ bool InferenceEngine::TryGetCachedSubgraph(
 
 Result<std::shared_ptr<const Subgraph>> InferenceEngine::SampleSubgraph(
     const EngineSnapshot& snap, int64_t node, const Deadline& deadline) {
-  if (FaultInjector::Global().ShouldFire(FaultSite::kServeSample)) {
-    return Status::Internal(
-        "injected sampler fault (site serve_sample) for entity " +
-        std::to_string(node));
-  }
   RELGRAPH_ASSIGN_OR_RETURN(
       Subgraph sg, snap.sampler->SampleForServing(
                        entity_type_, node, snap.now_cutoff, salt_, deadline));
@@ -453,81 +449,114 @@ Result<ScoreResponse> InferenceEngine::ScoreOnSnapshot(
     }
   };
 
-  // Coalesce uncached ids into fixed-size micro-batches through the
-  // batched (parallel-GEMM) forward path. The deadline is re-checked
-  // before every micro-batch and inside every fresh sample; under
-  // fail_fast expiry aborts the request, under the degrade modes it
-  // NaNs the unresolved remainder and serves what is already paid for.
-  size_t p = 0;
-  bool out_of_time = false;
-  while (p < pending.size() && !out_of_time) {
-    if (deadline.expired()) {
-      if (mode == DegradeMode::kFailFast) {
-        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-        RELGRAPH_COUNTER_INC("serve_deadline_exceeded_total");
-        return Status::DeadlineExceeded(
-            "deadline expired before micro-batch " +
-            std::to_string(p / static_cast<size_t>(serve_.micro_batch_size)));
-      }
-      for (; p < pending.size(); ++p) degrade_id(pending[p]);
-      deadline_nan = true;
-      break;
-    }
+  // Uncached ids run in contiguous seed slices, one micro-batch each, and
+  // the slices spread over the pool: a request of many ids keeps every
+  // core busy, while one of a few ids is a single slice that runs inline.
+  // The floor keeps slices from shrinking below what pays for a pool
+  // handoff. A finite deadline is judged by clock reads inside the slices,
+  // so such a request runs them in order on this thread with slice
+  // boundaries independent of the pool size: its expiry pattern stays a
+  // function of the clock alone.
+  constexpr int64_t kMinSliceSeeds = 8;
+  const int64_t num_pending = static_cast<int64_t>(pending.size());
+  const int64_t lanes = deadline.is_infinite() ? NumThreads() : 1;
+  const int64_t slice_size = std::min<int64_t>(
+      serve_.micro_batch_size,
+      std::max<int64_t>(kMinSliceSeeds, (num_pending + lanes - 1) / lanes));
+  const int64_t num_slices = (num_pending + slice_size - 1) / slice_size;
 
-    std::vector<std::shared_ptr<const Subgraph>> held;
-    std::vector<const Subgraph*> parts;
-    std::vector<int64_t> batch_ids;
-    while (p < pending.size() &&
-           batch_ids.size() < static_cast<size_t>(serve_.micro_batch_size)) {
-      const int64_t id = pending[p];
-      std::shared_ptr<const Subgraph> sg;
-      if (TryGetCachedSubgraph(snap, id, &sg)) {
-        ++p;
-        held.push_back(std::move(sg));
-        parts.push_back(held.back().get());
-        batch_ids.push_back(id);
-        continue;
-      }
-      if (cache_only) {
+  // Serial pre-pass in pending order: subgraph-cache probe, cache-only
+  // refusal, and both fault sites, so their hit sequences stay a pure
+  // function of the request. Each pending id ends up with a cached
+  // subgraph, a fresh sample to take, or no row at all.
+  enum class Source : uint8_t { kCached, kSample, kDropped };
+  std::vector<Source> source(pending.size(), Source::kDropped);
+  std::vector<std::shared_ptr<const Subgraph>> held(pending.size());
+  for (int64_t s = 0; s < num_slices; ++s) {
+    const size_t begin = static_cast<size_t>(s * slice_size);
+    const size_t end =
+        std::min(pending.size(), begin + static_cast<size_t>(slice_size));
+    bool any = false;
+    for (size_t k = begin; k < end; ++k) {
+      const int64_t id = pending[k];
+      if (TryGetCachedSubgraph(snap, id, &held[k])) {
+        source[k] = Source::kCached;
+      } else if (cache_only) {
         degrade_id(id);
-        ++p;
-        continue;
-      }
-      Result<std::shared_ptr<const Subgraph>> sampled =
-          SampleSubgraph(snap, id, deadline);
-      if (sampled.ok()) {
-        ++p;
-        held.push_back(std::move(sampled).value());
-        parts.push_back(held.back().get());
-        batch_ids.push_back(id);
-        continue;
-      }
-      if (sampled.status().code() == StatusCode::kDeadlineExceeded) {
+      } else if (FaultInjector::Global().ShouldFire(FaultSite::kServeSample)) {
         if (mode == DegradeMode::kFailFast) {
-          deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-          RELGRAPH_COUNTER_INC("serve_deadline_exceeded_total");
-          return sampled.status();
+          return Status::Internal(
+              "injected sampler fault (site serve_sample) for entity " +
+              std::to_string(id));
         }
-        for (; p < pending.size(); ++p) degrade_id(pending[p]);
-        deadline_nan = true;
-        out_of_time = true;
-        break;
+        degrade_id(id);
+      } else {
+        source[k] = Source::kSample;
       }
-      // Injected dependency fault.
-      if (mode == DegradeMode::kFailFast) return sampled.status();
-      degrade_id(id);
-      ++p;
+      any = any || source[k] != Source::kDropped;
     }
-    if (batch_ids.empty()) continue;
-
-    if (FaultInjector::Global().ShouldFire(FaultSite::kServeAlloc)) {
+    if (any && FaultInjector::Global().ShouldFire(FaultSite::kServeAlloc)) {
       if (mode == DegradeMode::kFailFast) {
         return Status::Internal(
             "injected allocation fault (site serve_alloc)");
       }
-      for (int64_t id : batch_ids) degrade_id(id);
-      continue;
+      for (size_t k = begin; k < end; ++k) {
+        if (source[k] == Source::kDropped) continue;
+        degrade_id(pending[k]);
+        source[k] = Source::kDropped;
+      }
     }
+  }
+
+  // One slice: sample what the pre-pass left to sample, run the batched
+  // forward, and canonicalize, use and cache every row. A slice writes
+  // only its own ids' rows and flags and its own outcome. The deadline is
+  // re-checked before the slice and inside every fresh sample; under
+  // fail_fast expiry fails the slice, under the degrade modes it NaNs the
+  // slice's unresolved remainder and serves what is already paid for.
+  struct SliceOutcome {
+    Status status;
+    bool deadline_nan = false;
+  };
+  std::vector<SliceOutcome> outcomes(static_cast<size_t>(num_slices));
+  auto run_slice = [&](int64_t s) {
+    SliceOutcome& out = outcomes[static_cast<size_t>(s)];
+    const size_t begin = static_cast<size_t>(s * slice_size);
+    const size_t end =
+        std::min(pending.size(), begin + static_cast<size_t>(slice_size));
+    if (deadline.expired()) {
+      if (mode == DegradeMode::kFailFast) {
+        out.status = Status::DeadlineExceeded(
+            "deadline expired before micro-batch " + std::to_string(s));
+        return;
+      }
+      for (size_t k = begin; k < end; ++k) degrade_id(pending[k]);
+      out.deadline_nan = true;
+      return;
+    }
+    std::vector<const Subgraph*> parts;
+    std::vector<int64_t> batch_ids;
+    for (size_t k = begin; k < end; ++k) {
+      if (source[k] == Source::kSample) {
+        Result<std::shared_ptr<const Subgraph>> sampled =
+            SampleSubgraph(snap, pending[k], deadline);
+        if (!sampled.ok()) {  // deadline expired mid-sample
+          if (mode == DegradeMode::kFailFast) {
+            out.status = sampled.status();
+            return;
+          }
+          for (; k < end; ++k) degrade_id(pending[k]);
+          out.deadline_nan = true;
+          break;
+        }
+        held[k] = std::move(sampled).value();
+      } else if (source[k] == Source::kDropped) {
+        continue;
+      }
+      parts.push_back(held[k].get());
+      batch_ids.push_back(pending[k]);
+    }
+    if (batch_ids.empty()) return;
 
     const Tensor batch_emb = EmbedParts(snap, model, parts);
     for (size_t j = 0; j < batch_ids.size(); ++j) {
@@ -550,6 +579,20 @@ Result<ScoreResponse> InferenceEngine::ScoreOnSnapshot(
             std::make_shared<const EncodedEmbedding>(std::move(enc)));
       }
     }
+  };
+  if (deadline.is_infinite()) {
+    ThreadPool::Global().ParallelChunks(num_slices, run_slice);
+  } else {
+    for (int64_t s = 0; s < num_slices; ++s) run_slice(s);
+  }
+  // Merge in slice order: the first failure wins.
+  for (const SliceOutcome& out : outcomes) {
+    if (!out.status.ok()) {
+      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      RELGRAPH_COUNTER_INC("serve_deadline_exceeded_total");
+      return out.status;
+    }
+    deadline_nan = deadline_nan || out.deadline_nan;
   }
 
   if (deadline.expired() && mode == DegradeMode::kFailFast) {

@@ -71,9 +71,9 @@ inline constexpr uint8_t kRowInvalid = 2;   ///< NaN from an out-of-range id
 
 /// Knobs of the online inference engine.
 struct ServeOptions {
-  /// Entities scored per forward pass. Uncached entities are coalesced
-  /// into micro-batches of this size so the GEMMs run at batch shapes
-  /// instead of row-at-a-time. Has no effect on the scores themselves:
+  /// Most entities scored per forward pass. Uncached entities split into
+  /// contiguous micro-batches (seed slices) of at most this size, spread
+  /// across the thread pool. Has no effect on the scores themselves:
   /// per-seed forwards are bit-identical at any micro-batch composition.
   int64_t micro_batch_size = 32;
 
@@ -210,7 +210,8 @@ struct ServeStats {
 /// conversions as GnnNodePredictor::PredictScores.
 ///
 /// Request path: each id first probes the entity-embedding cache; misses
-/// coalesce into fixed-size micro-batches whose per-seed subgraphs come
+/// split into micro-batches (seed slices, run in parallel across the
+/// pool) whose per-seed subgraphs come
 /// from the subgraph LRU cache or, on a miss, from the deterministic
 /// per-seed sampler (NeighborSampler::SampleForServing). Micro-batch
 /// subgraphs concatenate block-diagonally (ConcatSubgraphs — no
@@ -473,12 +474,12 @@ class InferenceEngine {
                             std::shared_ptr<const Subgraph>* out);
 
   /// Samples (and caches) one entity's subgraph under the deadline;
-  /// DeadlineExceeded on expiry, Internal on an injected sampler fault.
+  /// DeadlineExceeded on expiry. Safe to call from concurrent slices.
   Result<std::shared_ptr<const Subgraph>> SampleSubgraph(
       const EngineSnapshot& snap, int64_t node, const Deadline& deadline);
 
-  /// Embedding rows for one micro-batch of per-seed subgraphs, in part
-  /// order ([parts.size() × hidden]).
+  /// Embedding rows for one slice of per-seed subgraphs, in part order
+  /// ([parts.size() × hidden]).
   Tensor EmbedParts(const EngineSnapshot& snap, const ModelState& model,
                     const std::vector<const Subgraph*>& parts);
 

@@ -30,6 +30,7 @@
 
 #include "core/deadline.h"
 #include "core/fault_injection.h"
+#include "core/parallel.h"
 #include "datagen/ecommerce.h"
 #include "db2graph/graph_builder.h"
 #include "db2graph/streaming.h"
@@ -275,6 +276,77 @@ TEST_F(ChaosTest, SeededChaosScriptReplaysBitIdentically) {
   // The script must actually exercise chaos, not sail through cleanly.
   EXPECT_GT(degraded_steps, 0);
   EXPECT_GT(refused_steps, 0);
+}
+
+TEST_F(ChaosTest, MultiSliceChaosScriptReplaysBitIdentically) {
+  // Requests of 32 distinct ids split into several seed slices that run
+  // across a 4-thread pool while seeded sampler and allocation faults
+  // fire. The faults are drawn in the serial pre-pass, so which rows fail
+  // is a function of the request alone and the script replays exactly.
+  const int pool_threads = NumThreads();
+  ThreadPool::SetNumThreadsForTesting(4);
+  auto run_script = [&]() {
+    std::vector<StepRecord> records;
+    FaultInjector::Global().Reset();
+    FaultInjector::Global().ArmProbability(FaultSite::kServeSample, 0.15, 7);
+    FaultInjector::Global().ArmProbability(FaultSite::kServeAlloc, 0.25, 11);
+    ServeOptions serve;
+    serve.degrade_mode = DegradeMode::kStaleSnapshot;
+    serve.enable_embedding_cache = false;  // every id stays pending
+    auto engine = MakeEngine(SharedGraph(dbg_a_), serve);
+    for (int step = 0; step < 12; ++step) {
+      ScoreRequest request;
+      for (int64_t j = 0; j < 32; ++j) {
+        request.entity_ids.push_back((step * 11 + j * 7) % 80);
+      }
+      auto resp = engine->ScoreWithOptions(request);
+      StepRecord rec;
+      rec.status_code = static_cast<int>(resp.status().code());
+      if (resp.ok()) {
+        rec.degraded = resp.value().degraded;
+        rec.reason = static_cast<int>(resp.value().reason);
+        rec.rows_degraded = resp.value().rows_degraded;
+        rec.scores = resp.value().scores;
+        // Every resolved row is the fault-free reference score.
+        for (size_t i = 0; i < rec.scores.size(); ++i) {
+          if (std::isnan(rec.scores[i])) continue;
+          EXPECT_EQ(rec.scores[i],
+                    ref_a_[static_cast<size_t>(request.entity_ids[i])])
+              << "step " << step << " row " << i;
+        }
+      }
+      records.push_back(std::move(rec));
+    }
+    EXPECT_GT(FaultInjector::Global().fired(FaultSite::kServeSample), 0);
+    EXPECT_GT(FaultInjector::Global().fired(FaultSite::kServeAlloc), 0);
+    FaultInjector::Global().Reset();
+    return records;
+  };
+
+  const std::vector<StepRecord> first = run_script();
+  const std::vector<StepRecord> second = run_script();
+  ThreadPool::SetNumThreadsForTesting(pool_threads);
+  ASSERT_EQ(first.size(), second.size());
+  int degraded_steps = 0;
+  for (size_t i = 0; i < first.size(); ++i) {
+    ASSERT_EQ(first[i].status_code, static_cast<int>(StatusCode::kOk))
+        << "step " << i;
+    EXPECT_EQ(first[i].status_code, second[i].status_code) << "step " << i;
+    EXPECT_EQ(first[i].degraded, second[i].degraded) << "step " << i;
+    EXPECT_EQ(first[i].reason, second[i].reason) << "step " << i;
+    EXPECT_EQ(first[i].rows_degraded, second[i].rows_degraded)
+        << "step " << i;
+    ASSERT_EQ(first[i].scores.size(), second[i].scores.size());
+    for (size_t r = 0; r < first[i].scores.size(); ++r) {
+      EXPECT_EQ(std::isnan(first[i].scores[r]),
+                std::isnan(second[i].scores[r]))
+          << "step " << i << " row " << r;
+    }
+    EXPECT_TRUE(SameScores(first[i].scores, second[i].scores))
+        << "step " << i;
+    if (first[i].degraded) ++degraded_steps;
+  }
+  EXPECT_GT(degraded_steps, 0);
 }
 
 // ------------------------------------------------------- multi-thread flood

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/atomic_io.h"
@@ -120,6 +124,34 @@ TEST_F(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
   for (int64_t i = 0; i < n; ++i) {
     EXPECT_EQ(row_sums[static_cast<size_t>(i)], 4950);
   }
+}
+
+TEST_F(ThreadPoolTest, ConcurrentRegionsDoNotQueue) {
+  ThreadPool::SetNumThreadsForTesting(4);
+  // Two callers each open a two-chunk region whose chunks wait, bounded,
+  // for the other caller's region to have started. Were regions queued
+  // behind one another, the first one's chunks could only time out.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started[2] = {false, false};
+  int saw_other[2] = {0, 0};
+  auto caller = [&](int me) {
+    ThreadPool::Global().ParallelChunks(2, [&](int64_t) {
+      std::unique_lock<std::mutex> lk(mu);
+      started[me] = true;
+      cv.notify_all();
+      if (cv.wait_for(lk, std::chrono::seconds(5),
+                      [&] { return started[1 - me]; })) {
+        ++saw_other[me];
+      }
+    });
+  };
+  std::thread a(caller, 0);
+  std::thread b(caller, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(saw_other[0], 2);
+  EXPECT_EQ(saw_other[1], 2);
 }
 
 TEST_F(ThreadPoolTest, AsyncReturnsValueInParallelAndSerialModes) {

@@ -30,6 +30,14 @@ struct SamplerCase {
   bool temporal;
 };
 
+// Names the ctest case by its fields ("f5_d2_uniform_temporal"); gtest
+// would otherwise print the struct's bytes, padding included.
+void PrintTo(const SamplerCase& c, std::ostream* os) {
+  *os << "f" << c.fanout << "_d" << c.depth << "_"
+      << (c.policy == SamplePolicy::kUniform ? "uniform" : "recent") << "_"
+      << (c.temporal ? "temporal" : "static");
+}
+
 class SamplerPropertyTest : public testing::TestWithParam<SamplerCase> {
  protected:
   static const DbGraph& Graph() {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/parallel.h"
 #include "datagen/ecommerce.h"
 #include "db2graph/graph_builder.h"
 #include "pq/engine.h"
@@ -262,6 +263,47 @@ TEST_F(ServeTest, ScoresBitIdenticalAcrossCacheAndBatchConfigs) {
           << "config " << c << " id index " << i;
     }
   }
+}
+
+TEST_F(ServeTest, MultiSliceScoresBitIdenticalAcrossThreadCounts) {
+  // 96 ids cycling over all 80 users: one request that splits into several
+  // seed slices at every pool size, with repeats spread across slices.
+  std::vector<int64_t> ids;
+  for (int64_t i = 0; i < 96; ++i) ids.push_back((i * 37) % 80);
+  const int pool_threads = NumThreads();
+  for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
+    ServeOptions off;
+    off.enable_subgraph_cache = false;
+    off.enable_embedding_cache = false;
+    off.precision = precision;
+    std::vector<double> want;
+    {
+      auto solo = MakeEngine(off);
+      for (int64_t id : ids) {
+        auto one = solo->Score({id});
+        ASSERT_TRUE(one.ok());
+        want.push_back(one.value()[0]);
+      }
+    }
+    for (int threads : {1, 2, 4}) {
+      ThreadPool::SetNumThreadsForTesting(threads);
+      for (bool caches : {false, true}) {
+        ServeOptions serve = off;
+        serve.enable_subgraph_cache = caches;
+        serve.enable_embedding_cache = caches;
+        auto engine = MakeEngine(serve);
+        // With caches on, the repeat is served from the embedding cache.
+        for (int pass = 0; pass < (caches ? 2 : 1); ++pass) {
+          auto got = engine->Score(ids);
+          ASSERT_TRUE(got.ok());
+          EXPECT_EQ(got.value(), want)
+              << PrecisionName(precision) << " threads=" << threads
+              << " caches=" << caches << " pass=" << pass;
+        }
+      }
+    }
+  }
+  ThreadPool::SetNumThreadsForTesting(pool_threads);
 }
 
 TEST_F(ServeTest, WarmRepeatIsBitIdenticalAndHitsCaches) {
