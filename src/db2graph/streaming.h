@@ -27,10 +27,13 @@ struct StreamingOptions {
   IngestOptions ingest;
 
   /// An edge type holding more than this many CSR segments is compacted
-  /// back to one after an apply. Compaction never changes observable
-  /// neighbor order, so a deferred (e.g. fault-injected) compaction is
-  /// harmless.
-  int64_t compact_threshold = 8;
+  /// after an apply, size-tiered (see HeteroGraph::CompactSegments): its
+  /// tails merge into one, which folds into the base once it is as large.
+  /// Every reader iterates every segment, and a tail merge costs only the
+  /// tails, so the default keeps the count low: 2 to 4 segments, 3 on
+  /// average. Compaction never changes observable neighbor order, so a
+  /// deferred (e.g. fault-injected) compaction is harmless.
+  int64_t compact_threshold = 4;
 };
 
 /// Result of one streamed batch.

@@ -39,6 +39,91 @@ CsrSegment BuildSegment(int64_t src_begin, int64_t window,
   return seg;
 }
 
+/// Concatenates, per source node of [src_begin, src_end), the node's
+/// slices of `segments` in order — the same order a from-scratch bulk
+/// build of the combined edge list produces.
+CsrSegment MergeSegments(
+    const std::vector<std::shared_ptr<const CsrSegment>>& segments,
+    int64_t src_begin, int64_t src_end) {
+  int64_t num_edges = 0;
+  for (const auto& seg : segments) num_edges += seg->num_edges();
+  CsrSegment merged;
+  merged.src_begin = src_begin;
+  merged.offsets.assign(static_cast<size_t>(src_end - src_begin) + 1, 0);
+  merged.neighbors.reserve(static_cast<size_t>(num_edges));
+  merged.times.reserve(static_cast<size_t>(num_edges));
+  for (int64_t v = src_begin; v < src_end; ++v) {
+    for (const auto& seg : segments) {
+      if (v < seg->src_begin || v >= seg->src_end()) continue;
+      const size_t w = static_cast<size_t>(v - seg->src_begin);
+      const int64_t begin = seg->offsets[w];
+      const int64_t end = seg->offsets[w + 1];
+      merged.neighbors.insert(merged.neighbors.end(),
+                              seg->neighbors.begin() + begin,
+                              seg->neighbors.begin() + end);
+      merged.times.insert(merged.times.end(), seg->times.begin() + begin,
+                          seg->times.begin() + end);
+    }
+    merged.offsets[static_cast<size_t>(v - src_begin) + 1] =
+        static_cast<int64_t>(merged.neighbors.size());
+  }
+  return merged;
+}
+
+Tensor PrefixView(const Tensor& rows, int64_t n) {
+  return Tensor::RowView(rows, 0, n);
+}
+QuantizedTensor PrefixView(const QuantizedTensor& rows, int64_t n) {
+  return QuantizedTensor::RowView(rows, 0, n);
+}
+std::span<const Timestamp> PrefixView(const std::vector<Timestamp>& rows,
+                                      int64_t n) {
+  return {rows.data(), static_cast<size_t>(n)};
+}
+
+/// A payload exposing rows [0, n) of `buffer`.
+template <typename Payload, typename Buffer>
+std::shared_ptr<const Payload> PrefixOf(std::shared_ptr<Buffer> buffer,
+                                        int64_t n) {
+  auto payload = std::make_shared<Payload>();
+  payload->view = PrefixView(buffer->rows, n);
+  payload->buffer = std::move(buffer);
+  return payload;
+}
+
+/// A bulk-loaded buffer: exactly `n` rows, all committed, no spare
+/// capacity (the first append grows it).
+template <typename Buffer, typename Rows>
+std::shared_ptr<Buffer> FullBuffer(Rows rows, int64_t n) {
+  auto buffer = std::make_shared<Buffer>();
+  buffer->rows = std::move(rows);
+  buffer->capacity = n;
+  buffer->committed.store(n);
+  return buffer;
+}
+
+/// The buffer in which the epoch reading rows [0, n) of `buffer` may write
+/// rows [n, n + k): `buffer` itself when they fit its capacity and this
+/// call moves its committed length from n to n + k (no other epoch has
+/// claimed them), else a fresh buffer of at least twice the capacity that
+/// `grow(capacity)` fills with a copy of the prefix.
+template <typename Buffer, typename Grow>
+std::shared_ptr<Buffer> ClaimRows(const std::shared_ptr<Buffer>& buffer,
+                                  int64_t n, int64_t k, Grow&& grow) {
+  if (buffer != nullptr && n + k <= buffer->capacity) {
+    int64_t expected = n;
+    if (buffer->committed.compare_exchange_strong(expected, n + k)) {
+      return buffer;
+    }
+  }
+  auto grown = std::make_shared<Buffer>();
+  grown->capacity =
+      std::max<int64_t>(n + k, 2 * (buffer != nullptr ? buffer->capacity : 0));
+  grown->rows = grow(grown->capacity);
+  grown->committed.store(n + k);
+  return grown;
+}
+
 }  // namespace
 
 Result<NodeTypeId> HeteroGraph::AddNodeType(const std::string& name,
@@ -53,9 +138,9 @@ Result<NodeTypeId> HeteroGraph::AddNodeType(const std::string& name,
   node_index_[name] = id;
   node_names_.push_back(name);
   num_nodes_.push_back(num_nodes);
-  features_.push_back(std::make_shared<const Tensor>());
-  qfeatures_.push_back(std::make_shared<const QuantizedTensor>());
-  node_times_.push_back(std::make_shared<const std::vector<Timestamp>>());
+  features_.push_back(std::make_shared<const FeaturePayload>());
+  qfeatures_.push_back(std::make_shared<const QuantPayload>());
+  node_times_.push_back(std::make_shared<const TimePayload>());
   return id;
 }
 
@@ -70,8 +155,10 @@ Status HeteroGraph::SetNodeFeatures(NodeTypeId type, Tensor features) {
         static_cast<long long>(num_nodes_[type]),
         node_names_[type].c_str()));
   }
-  features_[type] = std::make_shared<const Tensor>(std::move(features));
-  qfeatures_[type] = std::make_shared<const QuantizedTensor>();
+  const int64_t n = features.rows();
+  features_[type] = PrefixOf<FeaturePayload>(
+      FullBuffer<RowBuffer<Tensor>>(std::move(features), n), n);
+  qfeatures_[type] = std::make_shared<const QuantPayload>();
   return Status::OK();
 }
 
@@ -80,7 +167,7 @@ Status HeteroGraph::QuantizeNodeFeatures(NodeTypeId type) {
     return Status::OutOfRange("QuantizeNodeFeatures: bad node type id");
   }
   if (features_quantized(type)) return Status::OK();
-  const Tensor& feats = *features_[type];
+  const Tensor& feats = node_features(type);
   if (feats.cols() == 0) {
     return Status::InvalidArgument(
         "QuantizeNodeFeatures: type '" + node_names_[type] +
@@ -92,11 +179,12 @@ Status HeteroGraph::QuantizeNodeFeatures(NodeTypeId type) {
         "QuantizeNodeFeatures('" + node_names_[type] + "'): " +
         std::string(q.status().message()));
   }
-  qfeatures_[type] =
-      std::make_shared<const QuantizedTensor>(std::move(q).value());
+  const int64_t n = num_nodes_[type];
+  qfeatures_[type] = PrefixOf<QuantPayload>(
+      FullBuffer<RowBuffer<QuantizedTensor>>(std::move(q).value(), n), n);
   // Drop the fp32 payload — the quantized copy is now the only resident
   // representation (that is the memory saving).
-  features_[type] = std::make_shared<const Tensor>();
+  features_[type] = std::make_shared<const FeaturePayload>();
   return Status::OK();
 }
 
@@ -109,8 +197,9 @@ Status HeteroGraph::SetNodeTimes(NodeTypeId type,
     return Status::InvalidArgument("times size != node count for type '" +
                                    node_names_[type] + "'");
   }
-  node_times_[type] =
-      std::make_shared<const std::vector<Timestamp>>(std::move(times));
+  const int64_t n = num_nodes_[type];
+  node_times_[type] = PrefixOf<TimePayload>(
+      FullBuffer<RowBuffer<std::vector<Timestamp>>>(std::move(times), n), n);
   return Status::OK();
 }
 
@@ -169,7 +258,6 @@ Status HeteroGraph::AppendNodes(NodeTypeId type, int64_t count,
   if (count == 0 && new_features.empty() && new_times.empty()) {
     return Status::OK();
   }
-  const Tensor& old_feats = *features_[type];
   const bool quantized = features_quantized(type);
   const int64_t dim = feature_dim(type);
   const bool has_features = dim > 0;
@@ -188,9 +276,8 @@ Status HeteroGraph::AppendNodes(NodeTypeId type, int64_t count,
         "AppendNodes: features supplied for a featureless type '" +
         node_names_[type] + "'");
   }
-  const std::vector<Timestamp>& old_times = *node_times_[type];
   if (has_times) {
-    if (static_cast<int64_t>(old_times.size()) != old_n) {
+    if (static_cast<int64_t>(node_times_[type]->view.size()) != old_n) {
       return Status::FailedPrecondition(
           "AppendNodes: type '" + node_names_[type] +
           "' has no node times but has_times is set");
@@ -206,36 +293,49 @@ Status HeteroGraph::AppendNodes(NodeTypeId type, int64_t count,
         node_names_[type] + "'");
   }
 
+  // Every check precedes the first claim, so a failed append never takes
+  // rows from a shared buffer.
+  const int64_t new_n = old_n + count;
   if (has_features && quantized) {
-    // Copy-on-write in quantized storage: clone the shared payload,
-    // quantize-append the new rows, publish the clone. Appended rows get
-    // the exact same per-row codes a from-scratch QuantizeNodeFeatures of
-    // the final table would produce (rows quantize independently).
-    QuantizedTensor grown = qfeatures_[type]->Clone();
-    Status appended = grown.AppendRows(new_features);
-    if (!appended.ok()) {
+    // Rows quantize independently, so the new rows get exactly the codes a
+    // from-scratch QuantizeNodeFeatures of the final table gives them.
+    Result<QuantizedTensor> block = QuantizedTensor::FromTensor(new_features);
+    if (!block.ok()) {
       return Status::InvalidArgument(
           "AppendNodes('" + node_names_[type] + "'): " +
-          std::string(appended.message()));
+          std::string(block.status().message()));
     }
-    qfeatures_[type] =
-        std::make_shared<const QuantizedTensor>(std::move(grown));
+    const QuantPayload& old = *qfeatures_[type];
+    auto buffer = ClaimRows(old.buffer, old_n, count, [&](int64_t capacity) {
+      QuantizedTensor rows = QuantizedTensor::Zeros(capacity, dim);
+      rows.WriteRows(0, old.view);
+      return rows;
+    });
+    buffer->rows.WriteRows(old_n, block.value());
+    qfeatures_[type] = PrefixOf<QuantPayload>(std::move(buffer), new_n);
   } else if (has_features) {
-    Tensor grown = Tensor::Zeros(old_n + count, dim);
-    std::copy(old_feats.data(), old_feats.data() + old_n * dim,
-              grown.data());
-    std::copy(new_features.data(), new_features.data() + count * dim,
-              grown.data() + old_n * dim);
-    features_[type] = std::make_shared<const Tensor>(std::move(grown));
+    const FeaturePayload& old = *features_[type];
+    auto buffer = ClaimRows(old.buffer, old_n, count, [&](int64_t capacity) {
+      Tensor rows(capacity, dim);
+      std::copy_n(old.view.data(), old_n * dim, rows.data());
+      return rows;
+    });
+    std::copy_n(new_features.data(), count * dim,
+                buffer->rows.data() + old_n * dim);
+    features_[type] = PrefixOf<FeaturePayload>(std::move(buffer), new_n);
   }
   if (has_times) {
-    auto grown_times =
-        std::make_shared<std::vector<Timestamp>>(old_times);
-    grown_times->insert(grown_times->end(), new_times.begin(),
-                        new_times.end());
-    node_times_[type] = std::move(grown_times);
+    const TimePayload& old = *node_times_[type];
+    auto buffer = ClaimRows(old.buffer, old_n, count, [&](int64_t capacity) {
+      std::vector<Timestamp> rows(static_cast<size_t>(capacity));
+      std::copy(old.view.begin(), old.view.end(), rows.begin());
+      return rows;
+    });
+    std::copy(new_times.begin(), new_times.end(),
+              buffer->rows.begin() + old_n);
+    node_times_[type] = PrefixOf<TimePayload>(std::move(buffer), new_n);
   }
-  num_nodes_[type] = old_n + count;
+  num_nodes_[type] = new_n;
   return Status::OK();
 }
 
@@ -286,32 +386,27 @@ Result<int64_t> HeteroGraph::CompactSegments(int64_t max_segments) {
   for (EdgeTypeId e = 0; e < num_edge_types(); ++e) {
     Csr& csr = csr_[e];
     if (static_cast<int64_t>(csr.segments.size()) <= max_segments) continue;
-    const int64_t n_src = num_nodes_[edge_src_[e]];
-    auto merged = std::make_shared<CsrSegment>();
-    merged->src_begin = 0;
-    merged->offsets.assign(static_cast<size_t>(n_src) + 1, 0);
-    merged->neighbors.reserve(static_cast<size_t>(csr.num_edges));
-    merged->times.reserve(static_cast<size_t>(csr.num_edges));
-    // Per node, concatenate segment slices in append order — the same
-    // order a from-scratch bulk build of the final edge list produces.
-    for (int64_t v = 0; v < n_src; ++v) {
-      for (const auto& seg : csr.segments) {
-        if (v < seg->src_begin || v >= seg->src_end()) continue;
-        const size_t w = static_cast<size_t>(v - seg->src_begin);
-        const int64_t begin = seg->offsets[w];
-        const int64_t end = seg->offsets[w + 1];
-        merged->neighbors.insert(
-            merged->neighbors.end(),
-            seg->neighbors.begin() + begin, seg->neighbors.begin() + end);
-        merged->times.insert(merged->times.end(),
-                             seg->times.begin() + begin,
-                             seg->times.begin() + end);
-      }
-      merged->offsets[static_cast<size_t>(v) + 1] =
-          static_cast<int64_t>(merged->neighbors.size());
+    const std::vector<std::shared_ptr<const CsrSegment>> tails(
+        csr.segments.begin() + 1, csr.segments.end());
+    int64_t tail_edges = 0;
+    int64_t lo = tails.front()->src_begin, hi = tails.front()->src_end();
+    for (const auto& tail : tails) {
+      tail_edges += tail->num_edges();
+      lo = std::min(lo, tail->src_begin);
+      hi = std::max(hi, tail->src_end());
     }
-    csr.segments.clear();
-    csr.segments.push_back(std::move(merged));
+    if (max_segments < 2 || tail_edges >= csr.segments.front()->num_edges()) {
+      // Fold: the tails have grown as large as the base, so rewriting the
+      // base now costs O(edges appended since it was last written).
+      const int64_t n_src = num_nodes_[edge_src_[e]];
+      csr.segments = {
+          std::make_shared<const CsrSegment>(
+              MergeSegments(csr.segments, 0, n_src))};
+    } else {
+      csr.segments.resize(1);
+      csr.segments.push_back(
+          std::make_shared<const CsrSegment>(MergeSegments(tails, lo, hi)));
+    }
     ++compacted;
   }
   return compacted;
@@ -343,9 +438,9 @@ int64_t HeteroGraph::FeatureBytes() const {
   int64_t total = 0;
   for (int32_t t = 0; t < num_node_types(); ++t) {
     if (features_quantized(t)) {
-      total += qfeatures_[t]->bytes();
-    } else {
-      total += features_[t]->numel() *
+      total += qfeatures_[t]->buffer->rows.bytes();
+    } else if (features_[t]->buffer != nullptr) {
+      total += features_[t]->buffer->rows.numel() *
                static_cast<int64_t>(sizeof(float));
     }
   }
@@ -356,12 +451,6 @@ int64_t HeteroGraph::TotalEdges() const {
   int64_t total = 0;
   for (const auto& csr : csr_) total += csr.num_edges;
   return total;
-}
-
-Timestamp HeteroGraph::node_time(NodeTypeId t, int64_t node) const {
-  const auto& times = *node_times_[t];
-  if (times.empty()) return kNoTimestamp;
-  return times[static_cast<size_t>(node)];
 }
 
 void HeteroGraph::SegmentNeighbors(EdgeTypeId e, int32_t seg, int64_t node,

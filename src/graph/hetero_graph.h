@@ -1,8 +1,10 @@
 #ifndef RELGRAPH_GRAPH_HETERO_GRAPH_H_
 #define RELGRAPH_GRAPH_HETERO_GRAPH_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -24,9 +26,10 @@ using EdgeTypeId = int32_t;
 /// One immutable CSR segment of an edge type: a windowed adjacency slab
 /// over source nodes [src_begin, src_end()). The bulk-loaded base is one
 /// full-window segment; every streaming append adds a small tail segment
-/// covering only the sources it touches. Segments are shared (by
-/// shared_ptr) across graph epochs, so cloning a graph for the next delta
-/// never copies base edges.
+/// covering only the sources it touches, and compaction merges tails (see
+/// HeteroGraph::CompactSegments). Segments are shared (by shared_ptr)
+/// across graph epochs, so cloning a graph for the next delta never copies
+/// base edges.
 struct CsrSegment {
   int64_t src_begin = 0;           ///< first source node covered
   std::vector<int64_t> offsets;    ///< size (src_end - src_begin) + 1
@@ -83,9 +86,12 @@ struct GraphDelta {
 /// compacted graph is bit-identical to the rebuilt one.
 ///
 /// Copying a HeteroGraph is cheap (O(types + segments)): feature
-/// matrices, node-time vectors and CSR segments are immutable and shared;
-/// mutators on the copy replace pointers instead of touching shared
-/// payloads. This is what makes copy-on-write graph epochs safe under
+/// matrices, node-time vectors and CSR segments are shared. Each node
+/// payload is a prefix view of a capacity-doubling buffer: an epoch reads
+/// only rows [0, num_nodes), and AppendNodes writes rows past that prefix
+/// (in place only when no other epoch has claimed them) before it
+/// publishes a longer view. No mutator ever changes bytes another epoch
+/// can read, which is what makes copy-on-write graph epochs safe under
 /// concurrent lock-free readers.
 class HeteroGraph {
  public:
@@ -125,8 +131,15 @@ class HeteroGraph {
   /// per new node when the type has features (matching width; pass an
   /// empty tensor otherwise). `has_times` says whether the type is
   /// temporal: then `new_times` must carry one timestamp per new node.
-  /// The previous feature matrix is copied once (O(num_nodes × dim)) into
-  /// a fresh shared payload; other graph copies are unaffected.
+  ///
+  /// Costs O(count × dim) amortized. Each payload (fp32 features, int8
+  /// codes and scales, node times) lives in a buffer with spare capacity,
+  /// shared by every epoch that reads a prefix of it. The new rows go in
+  /// place when this graph wins a compare-and-swap of the buffer's
+  /// committed length from num_nodes; when another copy of the same epoch
+  /// already claimed those rows, or the buffer is full, the prefix is
+  /// copied into a fresh buffer of at least twice the capacity. Other
+  /// graph copies never see this graph's rows.
   Status AppendNodes(NodeTypeId type, int64_t count,
                      const Tensor& new_features, bool has_times,
                      const std::vector<Timestamp>& new_times);
@@ -139,12 +152,17 @@ class HeteroGraph {
                      const std::vector<int64_t>& dst,
                      const std::vector<Timestamp>& times);
 
-  /// Merges every edge type holding more than `max_segments` segments into
-  /// a single full-window base segment, preserving per-node neighbor order
-  /// bit-for-bit (base first, then tails in append order). Returns the
-  /// number of edge types compacted. The kCompact fault site fires before
-  /// any mutation, so a poisoned compaction leaves the graph untouched
-  /// (and still fully readable — compaction is a pure layout optimization).
+  /// Compacts every edge type holding more than `max_segments` segments,
+  /// size-tiered: its tail segments merge into one tail windowed over the
+  /// union of their sources, and that tail folds into the base only once
+  /// it holds at least as many edges as the base. A compaction therefore
+  /// costs O(tail edges + tail window), not O(edge type), and the base is
+  /// rewritten only after as many edges were appended as it holds. Per-node
+  /// neighbor order is preserved bit-for-bit (base first, then tails in
+  /// append order). Returns the number of edge types compacted. The
+  /// kCompact fault site fires before any mutation, so a poisoned
+  /// compaction leaves the graph untouched (and still fully readable —
+  /// compaction is a pure layout optimization).
   Result<int64_t> CompactSegments(int64_t max_segments);
 
   // -------------------------------------------------------------- lookup
@@ -177,34 +195,41 @@ class HeteroGraph {
   /// Feature matrix of a node type (empty tensor if unset — including
   /// when the type's features live in quantized storage; check
   /// features_quantized() first on serving paths).
-  const Tensor& node_features(NodeTypeId t) const { return *features_[t]; }
+  const Tensor& node_features(NodeTypeId t) const {
+    return features_[t]->view;
+  }
 
   /// True when the type's features are stored int8-quantized.
   bool features_quantized(NodeTypeId t) const {
-    return qfeatures_[t]->cols() > 0;
+    return qfeatures_[t]->view.cols() > 0;
   }
 
   /// Quantized feature matrix of a node type (empty if not quantized).
   const QuantizedTensor& node_qfeatures(NodeTypeId t) const {
-    return *qfeatures_[t];
+    return qfeatures_[t]->view;
   }
 
   /// Feature width of a node type (0 if unset), whichever storage holds it.
   int64_t feature_dim(NodeTypeId t) const {
-    return features_quantized(t) ? qfeatures_[t]->cols()
-                                 : features_[t]->cols();
+    return features_quantized(t) ? qfeatures_[t]->view.cols()
+                                 : features_[t]->view.cols();
   }
 
-  /// Bytes resident for node features across all types (fp32 payloads at
-  /// 4 bytes/element, quantized payloads at codes+scales) — the
-  /// numerator of the serve-side bytes-per-node gauge.
+  /// Bytes resident for node features across all types: the whole
+  /// capacity of each payload's buffer, spare rows included (fp32 at 4
+  /// bytes/element, quantized at codes+scales, the same rule the quantized
+  /// byte accounting uses) — the numerator of the serve-side
+  /// bytes-per-node gauge.
   int64_t FeatureBytes() const;
 
   /// Timestamp of one node (kNoTimestamp when the type is static).
-  Timestamp node_time(NodeTypeId t, int64_t node) const;
+  Timestamp node_time(NodeTypeId t, int64_t node) const {
+    const std::span<const Timestamp> times = node_times_[t]->view;
+    return times.empty() ? kNoTimestamp : times[static_cast<size_t>(node)];
+  }
 
-  /// Segment count of an edge type (1 after a bulk build or compaction;
-  /// grows by one per non-empty append).
+  /// Segment count of an edge type (1 after a bulk build; grows by one per
+  /// non-empty append; compaction brings it back to at most 2).
   int32_t num_segments(EdgeTypeId e) const {
     return static_cast<int32_t>(csr_[e].segments.size());
   }
@@ -224,8 +249,9 @@ class HeteroGraph {
                         int64_t* count_out) const;
 
   /// Whole neighborhood of `node` as one contiguous span. Only valid for
-  /// single-segment edge types (bulk-built or compacted graphs) — code on
-  /// streaming paths must iterate SegmentNeighbors instead.
+  /// single-segment edge types (bulk-built graphs, or right after a fold
+  /// into the base) — code on streaming paths must iterate
+  /// SegmentNeighbors instead.
   void Neighbors(EdgeTypeId e, int64_t node, const int64_t** dst_out,
                  const Timestamp** time_out, int64_t* count_out) const;
 
@@ -241,14 +267,38 @@ class HeteroGraph {
     int64_t num_edges = 0;
   };
 
+  /// Row storage behind one node payload, shared by every epoch that
+  /// reads a prefix of it. Rows below `committed` belong to some epoch and
+  /// are never written again; an append claims the rows past its epoch's
+  /// prefix by moving `committed` from that prefix length (see
+  /// AppendNodes).
+  template <typename Rows>
+  struct RowBuffer {
+    Rows rows;             ///< `capacity` rows
+    int64_t capacity = 0;
+    std::atomic<int64_t> committed{0};
+  };
+
+  /// One epoch's payload: `view` reads rows [0, num_nodes) of `buffer`,
+  /// which the payload keeps alive (null when the payload is unset).
+  template <typename Rows, typename View>
+  struct Payload {
+    std::shared_ptr<RowBuffer<Rows>> buffer;
+    View view;
+  };
+  using FeaturePayload = Payload<Tensor, Tensor>;
+  using QuantPayload = Payload<QuantizedTensor, QuantizedTensor>;
+  using TimePayload =
+      Payload<std::vector<Timestamp>, std::span<const Timestamp>>;
+
   std::vector<std::string> node_names_;
   std::unordered_map<std::string, NodeTypeId> node_index_;
   std::vector<int64_t> num_nodes_;
-  // Shared immutable payloads: mutators publish replacements, never write
-  // through these pointers.
-  std::vector<std::shared_ptr<const Tensor>> features_;
-  std::vector<std::shared_ptr<const QuantizedTensor>> qfeatures_;
-  std::vector<std::shared_ptr<const std::vector<Timestamp>>> node_times_;
+  // Shared payloads: mutators publish replacements and never write bytes
+  // a published view can read.
+  std::vector<std::shared_ptr<const FeaturePayload>> features_;
+  std::vector<std::shared_ptr<const QuantPayload>> qfeatures_;
+  std::vector<std::shared_ptr<const TimePayload>> node_times_;
 
   std::vector<std::string> edge_names_;
   std::unordered_map<std::string, EdgeTypeId> edge_index_;

@@ -42,6 +42,9 @@ Status Table::AppendRow(const std::vector<Value>& values) {
     Status st = columns_[i].Append(values[i]);
     RELGRAPH_CHECK(st.ok());
   }
+  if (pk_col_ >= 0 && !columns_[pk_col_].IsNull(num_rows_)) {
+    pk_index_[columns_[pk_col_].Int(num_rows_)] = num_rows_;
+  }
   ++num_rows_;
   return Status::OK();
 }
@@ -67,14 +70,6 @@ int64_t Table::PrimaryKey(int64_t row) const {
 Result<int64_t> Table::FindByPrimaryKey(int64_t pk) const {
   if (pk_col_ < 0) {
     return Status::FailedPrecondition("table '" + name() + "' has no PK");
-  }
-  if (pk_index_rows_ != num_rows_) {
-    pk_index_.clear();
-    pk_index_.reserve(static_cast<size_t>(num_rows_) * 2);
-    for (int64_t r = 0; r < num_rows_; ++r) {
-      pk_index_[columns_[pk_col_].Int(r)] = r;
-    }
-    pk_index_rows_ = num_rows_;
   }
   auto it = pk_index_.find(pk);
   if (it == pk_index_.end()) {

@@ -45,8 +45,9 @@ class Table {
   /// Primary-key of a row (table must declare a PK; cell must be non-null).
   int64_t PrimaryKey(int64_t row) const;
 
-  /// Row index for a primary-key value, or NotFound. Builds a hash index on
-  /// first use; the index is invalidated by subsequent appends.
+  /// Row index for a primary-key value, or NotFound. Reads the index that
+  /// AppendRow maintains (the last row holding a duplicated key wins), so
+  /// lookups are read-only and safe from concurrent callers.
   Result<int64_t> FindByPrimaryKey(int64_t pk) const;
 
   /// Event timestamp of a row, or kNoTimestamp for static tables / null
@@ -62,9 +63,8 @@ class Table {
   int64_t num_rows_ = 0;
   int pk_col_ = -1;
   int time_col_ = -1;
-  // Lazy PK hash index.
-  mutable std::unordered_map<int64_t, int64_t> pk_index_;
-  mutable int64_t pk_index_rows_ = -1;
+  // PK value -> row, updated by every AppendRow (last row wins).
+  std::unordered_map<int64_t, int64_t> pk_index_;
 };
 
 }  // namespace relgraph

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/fault_injection.h"
 #include "core/logging.h"
@@ -75,6 +74,29 @@ inline void NoteBytesPerNode(double bytes) {
 #else
   (void)bytes;
 #endif
+}
+
+// One graph node as an opaque dependency id for the caches' reverse index.
+// Node ids are dense per type and far below 2^48.
+uint64_t DependencyId(NodeTypeId type, int64_t node) {
+  return (static_cast<uint64_t>(type) << 48) | static_cast<uint64_t>(node);
+}
+
+// Every node a cached result read: the deepest frontier holds the whole
+// subgraph (each frontier is a prefix of the next), and the forward reads
+// exactly those nodes' features, times and degrees.
+std::vector<uint64_t> Dependencies(const Subgraph& sg) {
+  std::vector<uint64_t> deps;
+  if (sg.frontiers.empty()) return deps;
+  const Subgraph::Frontier& deepest = sg.frontiers.back();
+  for (size_t t = 0; t < deepest.nodes.size(); ++t) {
+    for (int64_t node : deepest.nodes[t]) {
+      deps.push_back(DependencyId(static_cast<NodeTypeId>(t), node));
+    }
+  }
+  std::sort(deps.begin(), deps.end());
+  deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+  return deps;
 }
 
 // Snapshot feature residency per node — refreshed at every snapshot
@@ -308,7 +330,7 @@ Status InferenceEngine::LoadCheckpoint(const std::string& path) {
   // carry the old epoch (so they can never be served again) and the
   // epoch swap reclaims the memory. Subgraphs depend only on the sampler
   // and survive a weight swap.
-  embedding_cache_.EpochSwap();
+  embedding_cache_.EpochSwap(snap->version);
   return Status::OK();
 }
 
@@ -319,9 +341,8 @@ bool InferenceEngine::TryGetCachedSubgraph(
     RELGRAPH_COUNTER_INC("serve_subgraph_cache_misses_total");
     return false;
   }
-  const SubgraphKey key{node, snap.version,
-                        OptionsFingerprint(sampler_options_)};
-  if (subgraph_cache_.Get(EntityShard(node, num_shards_), key, out)) {
+  if (subgraph_cache_.Get(EntityShard(node, num_shards_), node, out,
+                          snap.version)) {
     RELGRAPH_COUNTER_INC("serve_subgraph_cache_hits_total");
     return true;
   }
@@ -336,9 +357,8 @@ Result<std::shared_ptr<const Subgraph>> InferenceEngine::SampleSubgraph(
                        entity_type_, node, snap.now_cutoff, salt_, deadline));
   auto sp = std::make_shared<const Subgraph>(std::move(sg));
   if (serve_.enable_subgraph_cache) {
-    const SubgraphKey key{node, snap.version,
-                          OptionsFingerprint(sampler_options_)};
-    subgraph_cache_.Put(EntityShard(node, num_shards_), key, sp);
+    subgraph_cache_.Put(EntityShard(node, num_shards_), node, sp,
+                        snap.version, Dependencies(*sp));
   }
   return sp;
 }
@@ -429,8 +449,9 @@ Result<ScoreResponse> InferenceEngine::ScoreOnSnapshot(
     const int64_t id = entity_ids[static_cast<size_t>(i)];
     if (serve_.enable_embedding_cache) {
       std::shared_ptr<const EncodedEmbedding> row;
-      const EmbeddingKey key{id, snap.version, model.epoch};
-      if (embedding_cache_.Get(EntityShard(id, num_shards_), key, &row)) {
+      if (embedding_cache_.Get(EntityShard(id, num_shards_),
+                               EmbeddingKey{id, model.epoch}, &row,
+                               snap.version)) {
         RELGRAPH_COUNTER_INC("serve_embedding_cache_hits_total");
         row->Decode(&emb.at(i, 0));
         continue;
@@ -573,10 +594,10 @@ Result<ScoreResponse> InferenceEngine::ScoreOnSnapshot(
         enc.Decode(&emb.at(i, 0));
       }
       if (serve_.enable_embedding_cache) {
-        const EmbeddingKey key{id, snap.version, model.epoch};
         embedding_cache_.Put(
-            EntityShard(id, num_shards_), key,
-            std::make_shared<const EncodedEmbedding>(std::move(enc)));
+            EntityShard(id, num_shards_), EmbeddingKey{id, model.epoch},
+            std::make_shared<const EncodedEmbedding>(std::move(enc)),
+            snap.version, Dependencies(*parts[j]));
       }
     }
   };
@@ -747,77 +768,33 @@ Status InferenceEngine::ValidateSnapshot(const EngineSnapshot& current,
   return Status::OK();
 }
 
-void InferenceEngine::MigrateCachesForDelta(const EngineSnapshot& current,
-                                            int64_t new_version,
-                                            const GraphDelta& delta) {
-  Timer migrate_timer;
-  // Touched-node lookup per type. New nodes (>= first_new_node) cannot
-  // appear in pre-delta cache entries, so only the touched sets matter.
-  std::vector<std::unordered_set<int64_t>> touched(delta.touched.size());
-  for (size_t t = 0; t < delta.touched.size(); ++t) {
-    touched[t].insert(delta.touched[t].begin(), delta.touched[t].end());
-  }
-
-  // A cached subgraph survives iff no node it ever read gained adjacency.
-  // The deepest frontier contains every node of the subgraph (each
-  // frontier is a prefix of the next), so scanning it alone is exact.
-  auto survives = [&touched](const Subgraph& sg) {
-    if (sg.frontiers.empty()) return true;
-    const Subgraph::Frontier& deepest = sg.frontiers.back();
-    const size_t types = std::min(deepest.nodes.size(), touched.size());
-    for (size_t t = 0; t < types; ++t) {
-      if (touched[t].empty()) continue;
-      for (int64_t node : deepest.nodes[t]) {
-        if (touched[t].count(node)) return false;
+void InferenceEngine::InvalidateCaches(int64_t new_version,
+                                       const GraphDelta& delta,
+                                       bool precise) {
+  Timer timer;
+  if (precise) {
+    // New nodes (>= first_new_node) cannot appear in any cached entry, so
+    // only the touched nodes can invalidate one.
+    std::vector<uint64_t> touched;
+    touched.reserve(static_cast<size_t>(delta.TotalTouched()));
+    for (size_t t = 0; t < delta.touched.size(); ++t) {
+      for (int64_t node : delta.touched[t]) {
+        touched.push_back(DependencyId(static_cast<NodeTypeId>(t), node));
       }
     }
-    return true;
-  };
-
-  const uint64_t fp = OptionsFingerprint(sampler_options_);
-  std::unordered_set<int64_t> surviving_seeds;
-  int64_t kept_subgraphs = 0, kept_embeddings = 0;
-  if (serve_.enable_subgraph_cache) {
-    subgraph_cache_.MigrateShards(
-        [&](const SubgraphKey& key,
-            const std::shared_ptr<const Subgraph>& value,
-            SubgraphKey* new_key) {
-          if (key.version != current.version || key.fingerprint != fp) {
-            return false;  // stale epoch: drop, as EpochSwap would
-          }
-          if (!survives(*value)) return false;
-          surviving_seeds.insert(key.node);
-          *new_key = SubgraphKey{key.node, new_version, key.fingerprint};
-          ++kept_subgraphs;
-          return true;
-        });
+    const int64_t subgraphs = subgraph_cache_.Invalidate(touched, new_version);
+    const int64_t embeddings =
+        embedding_cache_.Invalidate(touched, new_version);
+    RELGRAPH_COUNTER_ADD("serve_delta_invalidated_subgraphs_total",
+                         subgraphs);
+    RELGRAPH_COUNTER_ADD("serve_delta_invalidated_embeddings_total",
+                         embeddings);
+  } else {
+    subgraph_cache_.EpochSwap(new_version);
+    embedding_cache_.EpochSwap(new_version);
+    RELGRAPH_COUNTER_INC("serve_shard_swaps_total");
   }
-  if (serve_.enable_embedding_cache) {
-    const std::shared_ptr<const ModelState> model = PinModel();
-    const int64_t model_epoch = model->epoch;
-    embedding_cache_.MigrateShards(
-        [&](const EmbeddingKey& key,
-            const std::shared_ptr<const EncodedEmbedding>& value,
-            EmbeddingKey* new_key) {
-          (void)value;
-          if (key.version != current.version ||
-              key.model_epoch != model_epoch) {
-            return false;
-          }
-          // Only embeddings whose seed's subgraph provably avoided the
-          // delta are safe to keep: the forward read exactly that
-          // frontier's features and degrees.
-          if (surviving_seeds.count(key.node) == 0) return false;
-          *new_key = EmbeddingKey{key.node, new_version, key.model_epoch};
-          ++kept_embeddings;
-          return true;
-        });
-  }
-  RELGRAPH_COUNTER_ADD("serve_delta_migrated_subgraphs_total",
-                       kept_subgraphs);
-  RELGRAPH_COUNTER_ADD("serve_delta_migrated_embeddings_total",
-                       kept_embeddings);
-  NoteShardSwap(migrate_timer.Millis());
+  NoteShardSwap(timer.Millis());
 }
 
 Status InferenceEngine::ApplyDelta(std::shared_ptr<const HeteroGraph> graph,
@@ -863,24 +840,14 @@ Status InferenceEngine::ApplyDelta(std::shared_ptr<const HeteroGraph> graph,
        ++t) {
     chain_intact = delta.first_new_node[t] == current->graph->num_nodes(t);
   }
-  const bool precise = same_cutoff && chain_intact;
-  if (precise) {
-    // Precise invalidation: migrate untouched entries to the new version
-    // BEFORE publication, so the first reader of the new snapshot already
-    // sees the warm survivors.
-    MigrateCachesForDelta(*current, next->version, delta);
-  }
+  // A moved cutoff changes every per-seed sampling stream, and a broken
+  // chain (an empty delta always breaks it) hides what changed: then
+  // nothing is provably reusable. Either way the caches reach the new
+  // version BEFORE it is published, so its first reader already sees the
+  // warm survivors, and a reader still pinned to the old snapshot can no
+  // longer add entries.
+  InvalidateCaches(next->version, delta, same_cutoff && chain_intact);
   snapshot_.store(std::shared_ptr<const EngineSnapshot>(std::move(next)));
-  if (!precise) {
-    // Cutoff moved (every per-seed sampling stream changed) or the delta
-    // chain broke (an empty delta always does): nothing is provably
-    // reusable. Old-version subgraph keys can no longer match and age out
-    // of the LRU; the embedding cache is epoch-swapped shard by shard.
-    Timer swap_timer;
-    embedding_cache_.EpochSwap();
-    NoteShardSwap(swap_timer.Millis());
-    RELGRAPH_COUNTER_INC("serve_shard_swaps_total");
-  }
   advance_failures_.store(0, std::memory_order_relaxed);
   state_.store(static_cast<int>(ServeState::kServing),
                std::memory_order_relaxed);

@@ -241,18 +241,18 @@ struct ServeStats {
 /// consistent world until it finishes (the retired snapshot drains by
 /// refcount). Cache
 /// state follows the same discipline: both LRU caches are sharded by
-/// entity hash (ShardedLruCache), and invalidation retires shards by
-/// publishing fresh ones rather than clearing under a lock. Cache keys
-/// carry the snapshot version (and, for embeddings, the checkpoint
-/// epoch), so a straggler writing through a retired shard can never
-/// pollute a fresh one.
+/// entity hash (ShardedLruCache), each entry records the snapshot version
+/// it was computed on, and a lookup at snapshot v accepts only entries
+/// valid at v. The embedding key also carries the checkpoint epoch, so a
+/// straggler writing under retired weights can never pollute a fresh one.
 ///
 /// Snapshots: ApplyDelta publishes a fresher graph of the SAME layout and
-/// bumps the snapshot version. Subgraph cache keys carry the version
-/// (stale entries age out of the LRU); the embedding cache is migrated
-/// entry by entry or epoch-swapped shard by shard. A failed publish —
-/// validation failure or injected poison — leaves the previous snapshot
-/// fully intact and servable: all checks precede publication.
+/// bumps the snapshot version. Before publishing, it drops exactly the
+/// cache entries that read a node the delta touched (each cache keeps a
+/// reverse index from graph node to dependent entries), or epoch-swaps
+/// both caches when the delta cannot prove anything reusable. A failed
+/// publish — validation failure or injected poison — leaves the previous
+/// snapshot fully intact and servable: all checks precede publication.
 ///
 /// Every graph is shared-owned: a snapshot keeps its graph alive for as
 /// long as any reader has it pinned, so the caller (a StreamingDbGraph, a
@@ -313,16 +313,16 @@ class InferenceEngine {
   /// publishes the new snapshot with one pointer swap (in-flight readers
   /// finish on the old one). The delta drives cache invalidation:
   ///
-  ///  - `now_cutoff` unchanged: cache entries whose sampled neighborhoods
-  ///    avoid every delta-touched node migrate to the new snapshot
-  ///    version (same payload, rekeyed), so only entities actually
-  ///    affected by the appends re-miss. An embedding entry migrates only
-  ///    when its seed's subgraph entry proved untouched — without the
-  ///    subgraph's frontier there is no safe way to know what the
-  ///    embedding read.
+  ///  - `now_cutoff` unchanged: each cache drops the entries whose sampled
+  ///    neighborhoods (deepest frontier, recorded at Put time) contain a
+  ///    delta-touched node, found through its node -> dependents index
+  ///    in O(touched × dependents); every other entry stays valid at the
+  ///    new version untouched, so only entities actually affected by the
+  ///    appends re-miss. Embeddings carry their own dependencies, so they
+  ///    survive a delta whether or not the subgraph cache is enabled.
   ///  - `now_cutoff` changed: wholesale invalidation (the per-seed
   ///    sampling stream is keyed by (salt, node, cutoff), so no cached
-  ///    result is reusable) — the embedding cache is epoch-swapped.
+  ///    result is reusable) — both caches are epoch-swapped.
   ///
   /// Precise migration additionally requires an intact delta chain: the
   /// delta's `first_new_node` must equal the current snapshot's per-type
@@ -338,10 +338,11 @@ class InferenceEngine {
   /// `breaker_threshold` consecutive failures latch the engine into
   /// ServeState::kDegraded (reset by the next success).
   ///
-  /// Migration preserves bit-equality: a migrated subgraph re-samples
-  /// identically on the new epoch (untouched adjacency, same cutoff) and
-  /// a migrated embedding re-derives identically from it, so scores never
-  /// depend on whether invalidation was precise or wholesale.
+  /// Precise invalidation preserves bit-equality: a surviving subgraph
+  /// re-samples identically on the new epoch (untouched adjacency, same
+  /// cutoff) and a surviving embedding re-derives identically from it, so
+  /// scores never depend on whether invalidation was precise or
+  /// wholesale.
   Status ApplyDelta(std::shared_ptr<const HeteroGraph> graph,
                     Timestamp now_cutoff, const GraphDelta& delta);
 
@@ -404,44 +405,22 @@ class InferenceEngine {
     }
   };
 
-  /// Subgraph cache key. The sampler-options fingerprint is constant per
-  /// engine but kept in the key so entries are self-describing; the
-  /// snapshot version retires stale entries without a scan.
-  struct SubgraphKey {
-    int64_t node;
-    int64_t version;
-    uint64_t fingerprint;
-    bool operator==(const SubgraphKey& o) const {
-      return node == o.node && version == o.version &&
-             fingerprint == o.fingerprint;
-    }
-  };
-  struct SubgraphKeyHash {
-    size_t operator()(const SubgraphKey& k) const {
-      uint64_t h = static_cast<uint64_t>(k.node) * 0x9E3779B97F4A7C15ULL;
-      h ^= static_cast<uint64_t>(k.version) + (h << 6) + (h >> 2);
-      h ^= k.fingerprint + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
-
-  /// Embedding cache key: versioned by snapshot AND checkpoint epoch so a
-  /// straggler Put from a reader pinned to a retired world lands under a
-  /// key no fresh reader will ever look up — lock-free readers make late
-  /// writes unavoidable; versioned keys make them harmless.
+  /// Embedding cache key: the checkpoint epoch is part of the key so a
+  /// straggler Put from a reader pinned to retired weights lands under a
+  /// key no fresh reader will ever look up. Snapshot versions are not in
+  /// the key: each entry records the version it was computed on, and the
+  /// cache's dependency index decides which entries a delta invalidates
+  /// (see LruCache).
   struct EmbeddingKey {
     int64_t node;
-    int64_t version;
     int64_t model_epoch;
     bool operator==(const EmbeddingKey& o) const {
-      return node == o.node && version == o.version &&
-             model_epoch == o.model_epoch;
+      return node == o.node && model_epoch == o.model_epoch;
     }
   };
   struct EmbeddingKeyHash {
     size_t operator()(const EmbeddingKey& k) const {
       uint64_t h = static_cast<uint64_t>(k.node) * 0x9E3779B97F4A7C15ULL;
-      h ^= static_cast<uint64_t>(k.version) + (h << 6) + (h >> 2);
       h ^= static_cast<uint64_t>(k.model_epoch) + (h << 6) + (h >> 2);
       return static_cast<size_t>(h);
     }
@@ -488,12 +467,13 @@ class InferenceEngine {
   /// for HealthStatus().
   void RecordAdvanceFailure(const Status& status);
 
-  /// Delta-precise cache migration (caller holds writer_mu_; same-cutoff,
-  /// chained deltas only): rekeys surviving subgraph entries from
-  /// current.version to new_version, then embedding entries whose seeds'
-  /// subgraphs survived.
-  void MigrateCachesForDelta(const EngineSnapshot& current,
-                             int64_t new_version, const GraphDelta& delta);
+  /// Advances both caches to `new_version` before it is published
+  /// (caller holds writer_mu_). A precise delta (same cutoff, intact
+  /// chain) drops only the entries that read a node in delta.touched,
+  /// through the caches' dependency indexes; otherwise nothing cached is
+  /// provably reusable and both caches are epoch-swapped.
+  void InvalidateCaches(int64_t new_version, const GraphDelta& delta,
+                        bool precise);
 
   void SetLastError(const Status& status);
 
@@ -548,9 +528,8 @@ class InferenceEngine {
   mutable std::mutex health_mu_;  // guards last_error_ only
   std::string last_error_;
 
-  ShardedLruCache<SubgraphKey, std::shared_ptr<const Subgraph>,
-                  SubgraphKeyHash>
-      subgraph_cache_;
+  /// Keyed by entity id; the sampler options are fixed per engine.
+  ShardedLruCache<int64_t, std::shared_ptr<const Subgraph>> subgraph_cache_;
   /// Values are stored at serve_.precision (EncodedEmbedding): fp32
   /// encodes losslessly, bf16/int8 quarter-to-halve cache residency. The
   /// scoring path canonicalizes every fresh row through Encode→Decode, so

@@ -102,15 +102,19 @@ inline uint32_t EntityShard(int64_t node, uint32_t num_shards) {
 /// shards.
 ///
 /// Get/Put take the shard index (callers derive it from the entity id via
-/// EntityShard) so one request touches exactly one shard mutex. EpochSwap
-/// retires every shard by publishing fresh empty ones; concurrent readers
-/// holding the old shard finish against it and drop it — their late Puts
-/// land in a cache nobody will ever read again, which is harmless as long
-/// as keys are versioned (the engine's are). Hit/miss/eviction tallies
-/// survive swaps: retired shards' counts fold into running totals.
+/// EntityShard) so one request touches exactly one shard mutex; versions
+/// and dependencies pass through to the shard (see LruCache). Invalidate
+/// applies a graph delta shard by shard, each under its own mutex, so
+/// readers of other shards never wait on it. EpochSwap retires every
+/// shard by publishing fresh empty ones; concurrent readers holding the
+/// old shard finish against it and drop it — their late Puts land in a
+/// cache nobody will ever read again. Hit/miss/eviction tallies survive
+/// swaps: retired shards' counts fold into running totals.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class ShardedLruCache {
  public:
+  using Shard = LruCache<Key, Value, Hash>;
+
   /// `capacity` is the total entry budget, divided evenly across
   /// `num_shards` (rounded up to a power of two; each shard holds at
   /// least one entry).
@@ -122,24 +126,37 @@ class ShardedLruCache {
         slots_(num_shards_) {
     RELGRAPH_CHECK(capacity > 0);
     for (auto& slot : slots_) {
-      slot.store(std::make_shared<Shard>(per_shard_capacity_));
+      slot.store(std::make_shared<Shard>(per_shard_capacity_, 0));
     }
   }
 
-  bool Get(uint32_t shard, const Key& key, Value* out) {
-    return Pin(shard)->Get(key, out);
+  bool Get(uint32_t shard, const Key& key, Value* out, int64_t version) {
+    return Pin(shard)->Get(key, out, version);
   }
 
-  void Put(uint32_t shard, const Key& key, Value value) {
-    Pin(shard)->Put(key, std::move(value));
+  void Put(uint32_t shard, const Key& key, Value value, int64_t version,
+           const std::vector<uint64_t>& deps) {
+    Pin(shard)->Put(key, std::move(value), version, deps);
   }
 
-  /// Retires every shard: publishes fresh empty shards slot by slot and
-  /// folds the retired shards' tallies into the running totals. Safe
-  /// against concurrent readers (they drain on their pinned instances).
-  void EpochSwap() {
+  /// Invalidates, shard by shard, every entry that read a node in
+  /// `touched`, and advances every shard to `version`. Returns the number
+  /// of entries invalidated.
+  int64_t Invalidate(const std::vector<uint64_t>& touched, int64_t version) {
+    int64_t invalidated = 0;
     for (auto& slot : slots_) {
-      auto fresh = std::make_shared<Shard>(per_shard_capacity_);
+      invalidated += slot.load()->Invalidate(touched, version);
+    }
+    return invalidated;
+  }
+
+  /// Retires every shard: publishes fresh empty shards at `version` slot
+  /// by slot and folds the retired shards' tallies into the running
+  /// totals. Safe against concurrent readers (they drain on their pinned
+  /// instances).
+  void EpochSwap(int64_t version) {
+    for (auto& slot : slots_) {
+      auto fresh = std::make_shared<Shard>(per_shard_capacity_, version);
       std::shared_ptr<Shard> old = slot.exchange(std::move(fresh));
       retired_hits_.fetch_add(old->hits(), std::memory_order_relaxed);
       retired_misses_.fetch_add(old->misses(), std::memory_order_relaxed);
@@ -149,45 +166,11 @@ class ShardedLruCache {
     swaps_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Selective epoch swap: rebuilds every shard through `migrate`, which
-  /// is called per entry (scanned least- to most-recently used) as
-  /// `migrate(key, value, &new_key)` and returns whether the entry
-  /// survives — typically rewriting its versioned key for the new epoch.
-  /// Survivors keep their LRU order and payloads (shared_ptr copies);
-  /// everything else is dropped with the retired shard. Entries a
-  /// concurrent reader Puts into a shard between its scan and its
-  /// publication are lost — harmless for versioned keys, exactly like the
-  /// late Puts EpochSwap already tolerates. Tallies fold like EpochSwap;
-  /// counted under migrations(), not swaps().
-  template <typename Fn>
-  void MigrateShards(Fn&& migrate) {
-    for (auto& slot : slots_) {
-      std::shared_ptr<Shard> old = slot.load();
-      auto fresh = std::make_shared<Shard>(per_shard_capacity_);
-      old->ForEachLruToMru([&](const Key& key, const Value& value) {
-        Key new_key = key;
-        if (migrate(key, value, &new_key)) {
-          fresh->Put(std::move(new_key), value);
-        }
-      });
-      std::shared_ptr<Shard> retired = slot.exchange(std::move(fresh));
-      retired_hits_.fetch_add(retired->hits(), std::memory_order_relaxed);
-      retired_misses_.fetch_add(retired->misses(),
-                                std::memory_order_relaxed);
-      retired_evictions_.fetch_add(retired->evictions(),
-                                   std::memory_order_relaxed);
-    }
-    migrations_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   uint32_t num_shards() const { return num_shards_; }
   int64_t capacity() const {
     return per_shard_capacity_ * static_cast<int64_t>(num_shards_);
   }
   int64_t swaps() const { return swaps_.load(std::memory_order_relaxed); }
-  int64_t migrations() const {
-    return migrations_.load(std::memory_order_relaxed);
-  }
 
   /// Live entries across current shards (retired shards excluded).
   int64_t size() const {
@@ -205,8 +188,6 @@ class ShardedLruCache {
   }
 
  private:
-  using Shard = LruCache<Key, Value, Hash>;
-
   std::shared_ptr<Shard> Pin(uint32_t shard) const {
     RELGRAPH_CHECK(shard < num_shards_);
     return slots_[shard].load();
@@ -228,7 +209,6 @@ class ShardedLruCache {
   std::atomic<int64_t> retired_misses_{0};
   std::atomic<int64_t> retired_evictions_{0};
   std::atomic<int64_t> swaps_{0};
-  std::atomic<int64_t> migrations_{0};
 };
 
 }  // namespace relgraph

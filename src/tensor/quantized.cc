@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "core/logging.h"
 #include "core/metrics.h"
@@ -56,13 +57,28 @@ Result<Precision> ParsePrecision(const std::string& s) {
                                  "' (want fp32 | bf16 | int8)");
 }
 
+QuantizedTensor& QuantizedTensor::operator=(
+    QuantizedTensor&& other) noexcept {
+  if (this == &other) return *this;
+  rows_ = std::exchange(other.rows_, 0);
+  cols_ = std::exchange(other.cols_, 0);
+  scales_ = std::move(other.scales_);
+  data_ = std::move(other.data_);
+  row_scales_ = std::exchange(other.row_scales_, nullptr);
+  codes_ = std::exchange(other.codes_, nullptr);
+  accounted_ = std::move(other.accounted_);
+  return *this;
+}
+
+void QuantizedTensor::Bind() {
+  row_scales_ = scales_.data();
+  codes_ = data_.data();
+  accounted_.Reset(QuantDtype::kInt8, bytes());
+}
+
 Result<QuantizedTensor> QuantizedTensor::FromTensor(const Tensor& t) {
   RELGRAPH_RETURN_IF_ERROR(CheckAllFinite(t, "QuantizedTensor::FromTensor"));
-  QuantizedTensor q;
-  q.rows_ = t.rows();
-  q.cols_ = t.cols();
-  q.scales_.resize(static_cast<size_t>(t.rows()));
-  q.data_.resize(static_cast<size_t>(t.numel()));
+  QuantizedTensor q = Zeros(t.rows(), t.cols());
   const float* src = t.data();
   const int64_t cols = t.cols();
   float* scales = q.scales_.data();
@@ -75,16 +91,39 @@ Result<QuantizedTensor> QuantizedTensor::FromTensor(const Tensor& t) {
                            scales + r);
     }
   });
-  q.accounted_.Reset(QuantDtype::kInt8, q.bytes());
   return q;
+}
+
+QuantizedTensor QuantizedTensor::Zeros(int64_t rows, int64_t cols) {
+  QuantizedTensor q;
+  q.rows_ = rows;
+  q.cols_ = cols;
+  q.scales_.assign(static_cast<size_t>(rows), 0.0f);
+  q.data_.assign(static_cast<size_t>(rows * cols), 0);
+  q.Bind();
+  return q;
+}
+
+QuantizedTensor QuantizedTensor::RowView(const QuantizedTensor& parent,
+                                         int64_t row_begin, int64_t nrows) {
+  RELGRAPH_CHECK(row_begin >= 0 && nrows >= 0 &&
+                 row_begin + nrows <= parent.rows_)
+      << "row view [" << row_begin << ", " << row_begin + nrows << ") of "
+      << parent.rows_ << " rows";
+  QuantizedTensor v;
+  v.rows_ = nrows;
+  v.cols_ = parent.cols_;
+  v.row_scales_ = parent.row_scales_ + row_begin;
+  v.codes_ = parent.codes_ + row_begin * parent.cols_;
+  return v;
 }
 
 Tensor QuantizedTensor::Dequantize() const {
   Tensor out(rows_, cols_);
   float* dst = out.data();
   for (int64_t r = 0; r < rows_; ++r) {
-    const float s = scales_[static_cast<size_t>(r)];
-    const int8_t* row = data_.data() + r * cols_;
+    const float s = row_scales_[r];
+    const int8_t* row = codes_ + r * cols_;
     float* orow = dst + r * cols_;
     for (int64_t c = 0; c < cols_; ++c) {
       orow[c] = s * static_cast<float>(row[c]);
@@ -93,37 +132,16 @@ Tensor QuantizedTensor::Dequantize() const {
   return out;
 }
 
-Status QuantizedTensor::AppendRows(const Tensor& block) {
-  if (block.cols() != cols_) {
-    return Status::InvalidArgument(StrFormat(
-        "QuantizedTensor::AppendRows: block has %lld cols, want %lld",
-        static_cast<long long>(block.cols()),
-        static_cast<long long>(cols_)));
-  }
-  RELGRAPH_RETURN_IF_ERROR(
-      CheckAllFinite(block, "QuantizedTensor::AppendRows"));
-  const size_t old_rows = static_cast<size_t>(rows_);
-  scales_.resize(old_rows + static_cast<size_t>(block.rows()));
-  data_.resize(data_.size() + static_cast<size_t>(block.numel()));
-  const float* src = block.data();
-  for (int64_t r = 0; r < block.rows(); ++r) {
-    kern::QuantizeRowRef(src + r * cols_, cols_,
-                         data_.data() + (rows_ + r) * cols_,
-                         scales_.data() + old_rows + static_cast<size_t>(r));
-  }
-  rows_ += block.rows();
-  accounted_.Reset(QuantDtype::kInt8, bytes());
-  return Status::OK();
-}
-
-QuantizedTensor QuantizedTensor::Clone() const {
-  QuantizedTensor q;
-  q.rows_ = rows_;
-  q.cols_ = cols_;
-  q.scales_ = scales_;
-  q.data_ = data_;
-  q.accounted_.Reset(QuantDtype::kInt8, q.bytes());
-  return q;
+void QuantizedTensor::WriteRows(int64_t row, const QuantizedTensor& src) {
+  RELGRAPH_CHECK(codes_ == data_.data()) << "WriteRows on a row view";
+  RELGRAPH_CHECK(src.cols_ == cols_ && row >= 0 &&
+                 row + src.rows_ <= rows_)
+      << "WriteRows of " << src.rows_ << "x" << src.cols_ << " at row "
+      << row << " into " << rows_ << "x" << cols_;
+  std::memcpy(data_.data() + row * cols_, src.codes_,
+              static_cast<size_t>(src.rows_ * cols_));
+  std::memcpy(scales_.data() + row, src.row_scales_,
+              static_cast<size_t>(src.rows_) * sizeof(float));
 }
 
 Result<PackedInt8Matrix> PackForMatMulInt8(const Tensor& b) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/buffer_pool.h"
@@ -37,13 +38,19 @@ Result<Precision> ParsePrecision(const std::string& s);
 /// Storage cost: n + 4 bytes per n-column row, vs 4n for fp32 — a 0.26x
 /// footprint at n=64 and asymptotically 0.25x.
 ///
-/// Move-only; payload bytes are registered with QuantBytesRegistry for
-/// the accountant.
+/// Like Tensor, a QuantizedTensor either owns its codes and scales or is a
+/// non-owning row view of another one (RowView); readers see one
+/// contiguous code array and one scale array either way.
+///
+/// Move-only; owned payload bytes are registered with QuantBytesRegistry
+/// for the accountant.
 class QuantizedTensor {
  public:
   QuantizedTensor() = default;
-  QuantizedTensor(QuantizedTensor&&) noexcept = default;
-  QuantizedTensor& operator=(QuantizedTensor&&) noexcept = default;
+  QuantizedTensor(QuantizedTensor&& other) noexcept {
+    *this = std::move(other);
+  }
+  QuantizedTensor& operator=(QuantizedTensor&& other) noexcept;
   QuantizedTensor(const QuantizedTensor&) = delete;
   QuantizedTensor& operator=(const QuantizedTensor&) = delete;
 
@@ -52,17 +59,24 @@ class QuantizedTensor {
   /// with an error naming the exact row and column.
   static Result<QuantizedTensor> FromTensor(const Tensor& t);
 
+  /// Owned all-zero storage (zero codes, zero scales) of the given shape.
+  static QuantizedTensor Zeros(int64_t rows, int64_t cols);
+
+  /// Zero-copy view of `nrows` consecutive rows of `parent` starting at
+  /// `row_begin`. The caller keeps the parent alive for the view's
+  /// lifetime.
+  static QuantizedTensor RowView(const QuantizedTensor& parent,
+                                 int64_t row_begin, int64_t nrows);
+
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
   bool empty() const { return rows_ * cols_ == 0; }
 
-  float scale(int64_t r) const { return scales_[static_cast<size_t>(r)]; }
-  const float* scales() const { return scales_.data(); }
-  const int8_t* data() const { return data_.data(); }
+  float scale(int64_t r) const { return row_scales_[r]; }
+  const float* scales() const { return row_scales_; }
+  const int8_t* data() const { return codes_; }
 
-  int8_t code(int64_t r, int64_t c) const {
-    return data_[static_cast<size_t>(r * cols_ + c)];
-  }
+  int8_t code(int64_t r, int64_t c) const { return codes_[r * cols_ + c]; }
 
   /// Dequantized value of one element: scale(r) * code(r, c), exactly one
   /// float rounding — the same expression every consumer (InputFeatures,
@@ -75,27 +89,27 @@ class QuantizedTensor {
   /// elementwise via Dequant).
   Tensor Dequantize() const;
 
-  /// Quantizes `block` and appends its rows (column counts must match;
-  /// same finiteness contract as FromTensor). Mirrors
-  /// HeteroGraph::AppendNodes for the streaming path.
-  Status AppendRows(const Tensor& block);
+  /// Copies every row of `src` (codes and scales; widths must match) into
+  /// rows [row, row + src.rows()) of this owned tensor. Writes only those
+  /// rows, so readers of other rows may run concurrently — the capacity
+  /// buffers behind HeteroGraph::AppendNodes rely on it.
+  void WriteRows(int64_t row, const QuantizedTensor& src);
 
-  /// Deep copy (codes and scales). The class is move-only so sharing is
-  /// explicit; copy-on-write mutators (HeteroGraph::AppendNodes) clone the
-  /// shared payload, append, and publish the clone.
-  QuantizedTensor Clone() const;
-
-  /// Payload + scale bytes actually resident.
+  /// Payload + scale bytes of the rows this tensor exposes.
   int64_t bytes() const {
-    return static_cast<int64_t>(data_.size()) +
-           static_cast<int64_t>(scales_.size() * sizeof(float));
+    return rows_ * cols_ + rows_ * static_cast<int64_t>(sizeof(float));
   }
 
  private:
+  /// Points the read pointers at the owned vectors (after any resize).
+  void Bind();
+
   int64_t rows_ = 0;
   int64_t cols_ = 0;
-  std::vector<float> scales_;  ///< one per row
-  std::vector<int8_t> data_;   ///< row-major codes
+  std::vector<float> scales_;  ///< owned: one per row (empty for views)
+  std::vector<int8_t> data_;   ///< owned: row-major codes (empty for views)
+  const float* row_scales_ = nullptr;  ///< scales_ or the viewed parent's
+  const int8_t* codes_ = nullptr;      ///< data_ or the viewed parent's
   ScopedQuantBytes accounted_;
 };
 

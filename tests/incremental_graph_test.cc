@@ -425,6 +425,114 @@ TEST_F(StreamingTest, OldEpochsAreImmutableSnapshots) {
   EXPECT_EQ(stream->epochs_published(), 2);
 }
 
+/// Every payload byte a graph epoch exposes: fp32 features, int8 codes
+/// and scales, node times.
+struct PayloadBytes {
+  std::vector<float> features;
+  std::vector<int8_t> codes;
+  std::vector<float> scales;
+  std::vector<Timestamp> times;
+  bool operator==(const PayloadBytes&) const = default;
+};
+
+PayloadBytes ReadPayloads(const HeteroGraph& g) {
+  PayloadBytes out;
+  for (NodeTypeId t = 0; t < g.num_node_types(); ++t) {
+    const Tensor& f = g.node_features(t);
+    out.features.insert(out.features.end(), f.data(), f.data() + f.numel());
+    const QuantizedTensor& q = g.node_qfeatures(t);
+    out.codes.insert(out.codes.end(), q.data(),
+                     q.data() + q.rows() * q.cols());
+    out.scales.insert(out.scales.end(), q.scales(), q.scales() + q.rows());
+    for (int64_t n = 0; n < g.num_nodes(t); ++n) {
+      out.times.push_back(g.node_time(t, n));
+    }
+  }
+  return out;
+}
+
+/// Appends `count` nodes to every type of the forked-append world: rows of
+/// `value` for the fp32 and quantized types, times from `time`.
+void AppendEverywhere(HeteroGraph* g, int64_t count, float value,
+                      Timestamp time) {
+  const Tensor rows = Tensor::Full(count, 3, value);
+  const std::vector<Timestamp> times(static_cast<size_t>(count), time);
+  ASSERT_TRUE(g->AppendNodes(0, count, rows, false, {}).ok());
+  ASSERT_TRUE(g->AppendNodes(1, count, rows, false, {}).ok());
+  ASSERT_TRUE(g->AppendNodes(2, count, Tensor(), true, times).ok());
+}
+
+TEST_F(StreamingTest, ForkedEpochAppendsDoNotAlias) {
+  // Types: fp32 features, int8-quantized features, timed (featureless).
+  HeteroGraph g;
+  ASSERT_TRUE(g.AddNodeType("fp32", 4).ok());
+  ASSERT_TRUE(g.AddNodeType("int8", 4).ok());
+  ASSERT_TRUE(g.AddNodeType("timed", 4).ok());
+  ASSERT_TRUE(g.SetNodeFeatures(0, Tensor::Full(4, 3, 1.0f)).ok());
+  ASSERT_TRUE(g.SetNodeFeatures(1, Tensor::Full(4, 3, 2.0f)).ok());
+  ASSERT_TRUE(g.QuantizeNodeFeatures(1).ok());
+  ASSERT_TRUE(g.SetNodeTimes(2, {10, 20, 30, 40}).ok());
+  // The first append outgrows the bulk-loaded payloads, leaving the
+  // parent epoch's buffers with spare capacity to append into in place.
+  AppendEverywhere(&g, 1, 3.0f, 50);
+  if (HasFatalFailure()) return;
+  const HeteroGraph parent = g;
+  const PayloadBytes parent_bytes = ReadPayloads(parent);
+  // Both precisions count the whole buffer (8 rows after growing from 4),
+  // not the 5-row view: fp32 at 4 bytes/element, int8 codes + scales.
+  EXPECT_EQ(parent.FeatureBytes(), 8 * 3 * 4 + (8 * 3 + 8 * 4));
+
+  HeteroGraph left = parent;
+  HeteroGraph right = parent;
+  AppendEverywhere(&left, 2, 7.0f, 70);
+  AppendEverywhere(&right, 2, -9.0f, 90);
+  if (HasFatalFailure()) return;
+
+  // The first fork claimed the parent's spare rows in place; the second
+  // found them taken and copied into a buffer of its own.
+  EXPECT_EQ(left.node_features(0).data(), parent.node_features(0).data());
+  EXPECT_EQ(left.node_qfeatures(1).data(), parent.node_qfeatures(1).data());
+  EXPECT_NE(right.node_features(0).data(), parent.node_features(0).data());
+  EXPECT_NE(right.node_qfeatures(1).data(),
+            parent.node_qfeatures(1).data());
+
+  // A fork appending again grows its own lineage only.
+  AppendEverywhere(&right, 1, -11.0f, 110);
+  if (HasFatalFailure()) return;
+
+  EXPECT_EQ(ReadPayloads(parent), parent_bytes);
+  for (NodeTypeId t = 0; t < 3; ++t) {
+    EXPECT_EQ(parent.num_nodes(t), 5);
+    EXPECT_EQ(left.num_nodes(t), 7);
+    EXPECT_EQ(right.num_nodes(t), 8);
+  }
+  for (int64_t n = 0; n < 5; ++n) {
+    for (const HeteroGraph* fork : {&left, &right}) {
+      EXPECT_EQ(fork->node_features(0).at(n, 0),
+                parent.node_features(0).at(n, 0));
+      EXPECT_EQ(fork->node_qfeatures(1).Dequant(n, 0),
+                parent.node_qfeatures(1).Dequant(n, 0));
+      EXPECT_EQ(fork->node_time(2, n), parent.node_time(2, n));
+    }
+  }
+  const float q7 = QuantizedTensor::FromTensor(Tensor::Full(1, 3, 7.0f))
+                       .value()
+                       .Dequant(0, 0);
+  const float q9 = QuantizedTensor::FromTensor(Tensor::Full(1, 3, -9.0f))
+                       .value()
+                       .Dequant(0, 0);
+  for (int64_t n = 5; n < 7; ++n) {
+    EXPECT_EQ(left.node_features(0).at(n, 2), 7.0f);
+    EXPECT_EQ(right.node_features(0).at(n, 2), -9.0f);
+    EXPECT_EQ(left.node_qfeatures(1).Dequant(n, 2), q7);
+    EXPECT_EQ(right.node_qfeatures(1).Dequant(n, 2), q9);
+    EXPECT_EQ(left.node_time(2, n), 70);
+    EXPECT_EQ(right.node_time(2, n), 90);
+  }
+  EXPECT_EQ(right.node_features(0).at(7, 0), -11.0f);
+  EXPECT_EQ(right.node_time(2, 7), 110);
+}
+
 TEST_F(StreamingTest, EmptyAndFullyQuarantinedBatchesKeepEpoch) {
   Database db = MakeStreamDb();
   auto stream = StreamingDbGraph::Create(&db, LenientStream()).value();
@@ -477,29 +585,74 @@ TEST_F(StreamingTest, BatchSplitInvariance) {
   ExpectCsrInvariants(*many->graph());
 }
 
-TEST_F(StreamingTest, CompactionPreservesBitEquality) {
-  Database db = MakeStreamDb();
-  auto stream = StreamingDbGraph::Create(&db, LenientStream(2)).value();
+/// Sampler output over every user of the stream's epoch equals sampling
+/// the from-scratch rebuild (segment layout must never show).
+void ExpectSamplerMatchesRebuild(const Database& db,
+                                 const StreamingDbGraph& stream,
+                                 Timestamp cutoff) {
+  auto rebuilt = BuildDbGraph(db, stream.RebuildOptions()).value();
+  const NodeTypeId users = stream.table_type().at("users");
+  std::vector<int64_t> seeds;
+  for (int64_t u = 0; u < stream.graph()->num_nodes(users); ++u) {
+    seeds.push_back(u);
+  }
+  std::vector<Timestamp> cutoffs(seeds.size(), cutoff);
+  SamplerOptions opts;
+  opts.fanouts = {3, 2};
+  opts.policy = SamplePolicy::kMostRecent;
+  NeighborSampler inc(stream.graph().get(), opts);
+  NeighborSampler batch(&rebuilt.graph, opts);
+  Rng rng_a(7), rng_b(7);
+  ExpectSubgraphsEqual(inc.Sample(users, seeds, cutoffs, &rng_a),
+                       batch.Sample(users, seeds, cutoffs, &rng_b));
+}
 
-  int64_t compactions = 0;
-  for (int64_t i = 0; i < 6; ++i) {
+/// Counts the two compaction tiers across one apply: a fold rewrote the
+/// shared base segment, a tail merge kept it and stopped the segment count
+/// from growing although edges were appended.
+void CountCompactionTiers(const HeteroGraph& before, const HeteroGraph& after,
+                          int64_t* folds, int64_t* tail_merges) {
+  for (EdgeTypeId e = 0; e < after.num_edge_types(); ++e) {
+    if (after.num_edges(e) == before.num_edges(e)) continue;
+    if (&after.segment(e, 0) != &before.segment(e, 0)) {
+      ++*folds;
+    } else if (after.num_segments(e) <= before.num_segments(e)) {
+      ++*tail_merges;
+    }
+  }
+}
+
+TEST_F(StreamingTest, CompactionPreservesBitEquality) {
+  // The three-order base is small, so single-order tails outgrow it within
+  // a few appends: both tiers (tail merge, then fold into the base) run.
+  Database db = MakeStreamDb();
+  constexpr int64_t kThreshold = 2;
+  auto stream =
+      StreamingDbGraph::Create(&db, LenientStream(kThreshold)).value();
+
+  int64_t compactions = 0, folds = 0, tail_merges = 0;
+  for (int64_t i = 0; i < 12; ++i) {
+    std::shared_ptr<const HeteroGraph> before = stream->graph();
     AppendBatch batch;
     batch.Add("orders",
               OrderRow(3 + i, i % 3, i % 2, 9.5, 40 + 10 * i));
     auto result = stream->Apply(batch);
     ASSERT_TRUE(result.ok());
     compactions += result.value().compacted_edge_types;
+    CountCompactionTiers(*before, *stream->graph(), &folds, &tail_merges);
+    const HeteroGraph& g = *stream->graph();
+    for (EdgeTypeId e = 0; e < g.num_edge_types(); ++e) {
+      ASSERT_LE(g.num_segments(e), kThreshold) << g.edge_type_name(e);
+    }
     ExpectMatchesRebuild(db, *stream,
                          "after append " + std::to_string(i));
-    ExpectCsrInvariants(*stream->graph());
+    ExpectCsrInvariants(g);
+    ExpectSamplerMatchesRebuild(db, *stream, 1000);
+    if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GT(compactions, 0);
-
-  // After a compaction pass every over-threshold type is single-segment.
-  const HeteroGraph& g = *stream->graph();
-  for (EdgeTypeId e = 0; e < g.num_edge_types(); ++e) {
-    EXPECT_LE(g.num_segments(e), 3) << g.edge_type_name(e);
-  }
+  EXPECT_GT(tail_merges, 0);
+  EXPECT_GT(folds, 0);
 }
 
 TEST_F(StreamingTest, SamplerOutputMatchesRebuild) {
@@ -583,34 +736,57 @@ TEST_F(StreamingTest, AppendApplyFaultTriggersRecoveryRebuild) {
 }
 
 TEST_F(StreamingTest, CompactFaultDefersCompactionHarmlessly) {
-  Database db = MakeStreamDb();
-  auto stream = StreamingDbGraph::Create(&db, LenientStream(1)).value();
-  FaultInjector::Global().Arm(FaultSite::kCompact, /*skip=*/0,
-                              /*times=*/-1);
+  // Threshold 1 always folds into the base. Threshold 2 over a base of 13
+  // orders catches up with a tail-only merge: the deferred tails hold
+  // fewer edges than the base.
+  for (const int64_t threshold : {1, 2}) {
+    SCOPED_TRACE("threshold " + std::to_string(threshold));
+    FaultInjector::Global().Reset();
+    Database db = MakeStreamDb();
+    if (threshold == 2) {
+      Table* orders = db.FindMutableTable("orders");
+      for (int64_t i = 0; i < 10; ++i) {
+        ASSERT_TRUE(
+            orders->AppendRow(OrderRow(100 + i, i % 3, i % 2, 9.5, 31 + i))
+                .ok());
+      }
+    }
+    auto stream =
+        StreamingDbGraph::Create(&db, LenientStream(threshold)).value();
+    FaultInjector::Global().Arm(FaultSite::kCompact, /*skip=*/0,
+                                /*times=*/-1);
 
-  for (int64_t i = 0; i < 4; ++i) {
+    for (int64_t i = 0; i < 4; ++i) {
+      AppendBatch batch;
+      batch.Add("orders", OrderRow(3 + i, i % 3, i % 2, 9.5, 50 + 10 * i));
+      auto result = stream->Apply(batch);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result.value().compacted_edge_types, 0);
+      EXPECT_FALSE(result.value().recovered);  // compaction is non-fatal
+      ExpectMatchesRebuild(db, *stream,
+                           "deferred compaction " + std::to_string(i));
+    }
+    EXPECT_GT(FaultInjector::Global().fired(FaultSite::kCompact), 0);
+    EXPECT_GT(stream->graph()->num_segments(0), threshold);
+
+    // Once the fault clears, the next apply catches up on compaction and
+    // equality still holds.
+    FaultInjector::Global().Reset();
+    std::shared_ptr<const HeteroGraph> before = stream->graph();
     AppendBatch batch;
-    batch.Add("orders", OrderRow(3 + i, i % 3, i % 2, 9.5, 40 + 10 * i));
+    batch.Add("orders", OrderRow(7, 0, 0, 9.5, 90));
     auto result = stream->Apply(batch);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().compacted_edge_types, 0);
-    EXPECT_FALSE(result.value().recovered);  // compaction is non-fatal
-    ExpectMatchesRebuild(db, *stream,
-                         "deferred compaction " + std::to_string(i));
+    EXPECT_GT(result.value().compacted_edge_types, 0);
+    int64_t folds = 0, tail_merges = 0;
+    CountCompactionTiers(*before, *stream->graph(), &folds, &tail_merges);
+    EXPECT_GT(threshold == 1 ? folds : tail_merges, 0);
+    for (EdgeTypeId e = 0; e < stream->graph()->num_edge_types(); ++e) {
+      EXPECT_LE(stream->graph()->num_segments(e), threshold);
+    }
+    ExpectMatchesRebuild(db, *stream, "post-fault compaction");
+    ExpectCsrInvariants(*stream->graph());
   }
-  EXPECT_GT(FaultInjector::Global().fired(FaultSite::kCompact), 0);
-  EXPECT_GT(stream->graph()->num_segments(0), 1);
-
-  // Once the fault clears, the next apply catches up on compaction and
-  // equality still holds.
-  FaultInjector::Global().Reset();
-  AppendBatch batch;
-  batch.Add("orders", OrderRow(7, 0, 0, 9.5, 90));
-  auto result = stream->Apply(batch);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result.value().compacted_edge_types, 0);
-  ExpectMatchesRebuild(db, *stream, "post-fault compaction");
-  ExpectCsrInvariants(*stream->graph());
 }
 
 // -------------------------------------------------------- schedule fuzzer
@@ -694,10 +870,13 @@ TEST_F(StreamingTest, FuzzedSchedulesMatchRebuildBitForBit) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
     Database db = MakeStreamDb();
-    auto stream = StreamingDbGraph::Create(&db, LenientStream(3)).value();
+    constexpr int64_t kThreshold = 3;
+    auto stream =
+        StreamingDbGraph::Create(&db, LenientStream(kThreshold)).value();
     FuzzState st;
 
     int64_t ops = 0, applied = 0, quarantined = 0;
+    int64_t folds = 0, tail_merges = 0;
     for (int64_t step = 0; step < 120; ++step) {
       AppendBatch batch;
       std::vector<int64_t> batch_users;
@@ -706,10 +885,15 @@ TEST_F(StreamingTest, FuzzedSchedulesMatchRebuildBitForBit) {
         RandomRow(&rng, &st, &batch, &batch_users);
         ++ops;
       }
+      std::shared_ptr<const HeteroGraph> before = stream->graph();
       auto result = stream->Apply(batch);
       ASSERT_TRUE(result.ok()) << result.status().message();
       applied += result.value().outcome.rows_applied;
       quarantined += result.value().outcome.rows_quarantined;
+      CountCompactionTiers(*before, *stream->graph(), &folds, &tail_merges);
+      for (EdgeTypeId e = 0; e < stream->graph()->num_edge_types(); ++e) {
+        ASSERT_LE(stream->graph()->num_segments(e), kThreshold);
+      }
       // Users accepted this batch become referenceable next batch.
       for (int64_t u : batch_users) st.users.push_back(u);
 
@@ -723,6 +907,8 @@ TEST_F(StreamingTest, FuzzedSchedulesMatchRebuildBitForBit) {
     ASSERT_GE(ops, 500);
     EXPECT_GT(applied, 0);
     EXPECT_GT(quarantined, 0);  // invalid draws actually occurred
+    EXPECT_GT(tail_merges, 0);  // both compaction tiers ran
+    EXPECT_GT(folds, 0);
     ExpectCsrInvariants(*stream->graph());
     ExpectMatchesRebuild(db, *stream, "final");
 

@@ -177,7 +177,10 @@ TEST(QuantizedTensorTest, QuantizationIsThreadCountInvariant) {
   }
 }
 
-TEST(QuantizedTensorTest, CloneAndAppendRowsMatchFromScratch) {
+TEST(QuantizedTensorTest, WriteRowsAndRowViewsMatchFromScratch) {
+  // Rows quantize independently, so quantizing a table in two blocks and
+  // writing both into one buffer gives the codes of quantizing it whole —
+  // what HeteroGraph::AppendNodes relies on.
   Tensor head = FillTensor(13, 7, 5.0f, 11);
   Tensor tail = FillTensor(6, 7, 5.0f, 13);
   Tensor both(19, 7);
@@ -188,26 +191,23 @@ TEST(QuantizedTensorTest, CloneAndAppendRowsMatchFromScratch) {
     for (int64_t c = 0; c < 7; ++c) both.at(13 + r, c) = tail.at(r, c);
   }
 
-  auto q = QuantizedTensor::FromTensor(head);
-  ASSERT_TRUE(q.ok());
-  QuantizedTensor grown = q.value().Clone();
-  ASSERT_TRUE(grown.AppendRows(tail).ok());
+  QuantizedTensor grown = QuantizedTensor::Zeros(19, 7);
+  grown.WriteRows(0, QuantizedTensor::FromTensor(head).value());
+  grown.WriteRows(13, QuantizedTensor::FromTensor(tail).value());
   auto scratch = QuantizedTensor::FromTensor(both);
   ASSERT_TRUE(scratch.ok());
+  const QuantizedTensor tail_view = QuantizedTensor::RowView(grown, 13, 6);
 
   ASSERT_EQ(grown.rows(), 19);
+  ASSERT_EQ(tail_view.rows(), 6);
   for (int64_t r = 0; r < 19; ++r) {
     EXPECT_EQ(grown.scale(r), scratch.value().scale(r)) << "row " << r;
     for (int64_t c = 0; c < 7; ++c) {
       EXPECT_EQ(grown.code(r, c), scratch.value().code(r, c));
+      if (r >= 13) EXPECT_EQ(tail_view.code(r - 13, c), grown.code(r, c));
     }
   }
-  // AppendRows keeps the finiteness contract.
-  Tensor bad = FillTensor(2, 7, 1.0f);
-  bad.at(1, 0) = kInf;
-  EXPECT_FALSE(grown.AppendRows(bad).ok());
-  // And rejects width mismatches.
-  EXPECT_FALSE(grown.AppendRows(FillTensor(2, 8, 1.0f)).ok());
+  EXPECT_EQ(tail_view.data(), grown.data() + 13 * 7);  // no copy
 }
 
 TEST(QuantizedTensorTest, StorageIsAtMost035xOfFp32) {
@@ -232,7 +232,11 @@ TEST(QuantizedTensorTest, BytesAreAccountedWhileResident) {
     ASSERT_TRUE(q.ok());
     EXPECT_EQ(reg.resident(QuantDtype::kInt8),
               before + q.value().bytes());
-    QuantizedTensor clone = q.value().Clone();
+    QuantizedTensor copy = QuantizedTensor::Zeros(32, 16);
+    EXPECT_EQ(reg.resident(QuantDtype::kInt8),
+              before + 2 * q.value().bytes());
+    // A view owns nothing, so it accounts nothing.
+    const QuantizedTensor view = QuantizedTensor::RowView(copy, 0, 32);
     EXPECT_EQ(reg.resident(QuantDtype::kInt8),
               before + 2 * q.value().bytes());
   }

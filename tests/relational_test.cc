@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "relational/csv_io.h"
 #include "relational/snapshot.h"
@@ -208,6 +212,51 @@ TEST(TableTest, ValidatePrimaryKeyCatchesDuplicates) {
   ASSERT_TRUE(
       t.AppendRow({Value(1), Value(2), Value(2.0), Value::Time(1)}).ok());
   EXPECT_FALSE(t.ValidatePrimaryKey().ok());
+}
+
+TEST(TableTest, DuplicatePrimaryKeyMapsToLastRow) {
+  // A sequential run of keys, then keys off the run: a duplicate of a run
+  // key and keys at both ends of the int64 range.
+  Table t(MakeOrdersSchema());
+  const int64_t keys[] = {5, 6, 7, 1, 5, INT64_MAX, INT64_MIN, 6};
+  for (int64_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value(keys[i]), Value(int64_t{1}), Value(1.0),
+                             Value::Time(i)})
+                    .ok());
+  }
+  EXPECT_EQ(t.FindByPrimaryKey(5).value(), 4);
+  EXPECT_EQ(t.FindByPrimaryKey(6).value(), 7);
+  EXPECT_EQ(t.FindByPrimaryKey(7).value(), 2);
+  EXPECT_EQ(t.FindByPrimaryKey(1).value(), 3);
+  EXPECT_EQ(t.FindByPrimaryKey(INT64_MAX).value(), 5);
+  EXPECT_EQ(t.FindByPrimaryKey(INT64_MIN).value(), 6);
+  EXPECT_FALSE(t.FindByPrimaryKey(8).ok());
+  EXPECT_FALSE(t.FindByPrimaryKey(4).ok());
+}
+
+// Lookups after an append must be pure reads: four threads probing at once
+// (run under TSan in scripts/ci.sh tsan) may not race on the index.
+TEST(RelationalTest, ConcurrentPrimaryKeyLookupsAfterAppend) {
+  Table t(MakeOrdersSchema());
+  constexpr int64_t kRows = 2000;
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value(1000 + i), Value(1), Value(1.0),
+                             Value::Time(i)})
+                    .ok());
+  }
+  std::atomic<int64_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (int th = 0; th < 4; ++th) {
+    threads.emplace_back([&t, &wrong, th] {
+      for (int64_t i = th; i < kRows; i += 3) {
+        auto row = t.FindByPrimaryKey(1000 + i);
+        if (!row.ok() || row.value() != i) wrong.fetch_add(1);
+      }
+      if (t.FindByPrimaryKey(-1).ok()) wrong.fetch_add(1);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(TableTest, StaticTableHasNoTimestamp) {

@@ -49,12 +49,12 @@ TEST(ShardedLruCacheTest, GetReturnsWhatPutStoredPerShard) {
   const uint32_t s1 = EntityShard(1, cache.num_shards());
   const uint32_t s2 = EntityShard(2, cache.num_shards());
   int v = 0;
-  EXPECT_FALSE(cache.Get(s1, 1, &v));
-  cache.Put(s1, 1, 10);
-  cache.Put(s2, 2, 20);
-  ASSERT_TRUE(cache.Get(s1, 1, &v));
+  EXPECT_FALSE(cache.Get(s1, 1, &v, 0));
+  cache.Put(s1, 1, 10, 0, {});
+  cache.Put(s2, 2, 20, 0, {});
+  ASSERT_TRUE(cache.Get(s1, 1, &v, 0));
   EXPECT_EQ(v, 10);
-  ASSERT_TRUE(cache.Get(s2, 2, &v));
+  ASSERT_TRUE(cache.Get(s2, 2, &v, 0));
   EXPECT_EQ(v, 20);
   EXPECT_EQ(cache.size(), 2);
   EXPECT_EQ(cache.hits(), 2);
@@ -72,12 +72,12 @@ TEST(ShardedLruCacheTest, EntityShardIsPureAndInRange) {
 TEST(ShardedLruCacheTest, EpochSwapEmptiesButFoldsTallies) {
   ShardedLruCache<int64_t, int> cache(64, 4);
   const uint32_t s = EntityShard(7, cache.num_shards());
-  cache.Put(s, 7, 70);
+  cache.Put(s, 7, 70, 0, {});
   int v = 0;
-  ASSERT_TRUE(cache.Get(s, 7, &v));
-  cache.EpochSwap();
+  ASSERT_TRUE(cache.Get(s, 7, &v, 0));
+  cache.EpochSwap(/*version=*/0);
   EXPECT_EQ(cache.size(), 0);
-  EXPECT_FALSE(cache.Get(s, 7, &v));  // retired entries are gone
+  EXPECT_FALSE(cache.Get(s, 7, &v, 0));  // retired entries are gone
   EXPECT_EQ(cache.hits(), 1);         // tallies survive the swap
   EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.swaps(), 1);

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,53 +33,112 @@ namespace {
 // ---------------------------------------------------------------- LruCache
 
 TEST(LruCacheTest, GetReturnsWhatPutStored) {
-  LruCache<int64_t, int> cache(4);
+  LruCache<int64_t, int> cache(4, /*version=*/0);
   int v = 0;
-  EXPECT_FALSE(cache.Get(1, &v));
-  cache.Put(1, 10);
-  ASSERT_TRUE(cache.Get(1, &v));
+  EXPECT_FALSE(cache.Get(1, &v, 0));
+  cache.Put(1, 10, 0, {});
+  ASSERT_TRUE(cache.Get(1, &v, 0));
   EXPECT_EQ(v, 10);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 1);
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache<int64_t, int> cache(2);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
+  LruCache<int64_t, int> cache(2, /*version=*/0);
+  cache.Put(1, 10, 0, {});
+  cache.Put(2, 20, 0, {});
   int v = 0;
-  ASSERT_TRUE(cache.Get(1, &v));  // refresh 1: now 2 is the LRU entry
-  cache.Put(3, 30);               // evicts 2
+  ASSERT_TRUE(cache.Get(1, &v, 0));  // refresh 1: now 2 is the LRU entry
+  cache.Put(3, 30, 0, {});           // evicts 2
   EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_FALSE(cache.Get(2, &v));
-  EXPECT_TRUE(cache.Get(1, &v));
-  EXPECT_TRUE(cache.Get(3, &v));
+  EXPECT_FALSE(cache.Get(2, &v, 0));
+  EXPECT_TRUE(cache.Get(1, &v, 0));
+  EXPECT_TRUE(cache.Get(3, &v, 0));
   EXPECT_EQ(cache.size(), 2);
 }
 
 TEST(LruCacheTest, PutRefreshesExistingKey) {
-  LruCache<int64_t, int> cache(2);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  cache.Put(1, 11);  // refresh + overwrite, no eviction
+  LruCache<int64_t, int> cache(2, /*version=*/0);
+  cache.Put(1, 10, 0, {});
+  cache.Put(2, 20, 0, {});
+  cache.Put(1, 11, 0, {});  // refresh + overwrite, no eviction
   EXPECT_EQ(cache.evictions(), 0);
-  cache.Put(3, 30);  // now 2 is the LRU entry
+  cache.Put(3, 30, 0, {});  // now 2 is the LRU entry
   int v = 0;
-  EXPECT_FALSE(cache.Get(2, &v));
-  ASSERT_TRUE(cache.Get(1, &v));
+  EXPECT_FALSE(cache.Get(2, &v, 0));
+  ASSERT_TRUE(cache.Get(1, &v, 0));
   EXPECT_EQ(v, 11);
 }
 
 TEST(LruCacheTest, ClearEmptiesButKeepsTallies) {
-  LruCache<int64_t, int> cache(4);
-  cache.Put(1, 10);
+  LruCache<int64_t, int> cache(4, /*version=*/0);
+  cache.Put(1, 10, 0, {});
   int v = 0;
-  ASSERT_TRUE(cache.Get(1, &v));
+  ASSERT_TRUE(cache.Get(1, &v, 0));
   cache.Clear();
   EXPECT_EQ(cache.size(), 0);
-  EXPECT_FALSE(cache.Get(1, &v));
+  EXPECT_FALSE(cache.Get(1, &v, 0));
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 1);
+}
+
+TEST(LruCacheTest, InvalidateDropsExactlyTheDependentsOfTouchedNodes) {
+  // Random dependency sets over a small node range (long dependent lists,
+  // index-table collisions) through evictions and re-Puts, checked round
+  // by round against the dependencies each live key was last put with.
+  std::mt19937_64 rng(5);
+  LruCache<int64_t, int> cache(48, /*version=*/0);
+  std::map<int64_t, std::vector<uint64_t>> deps_of;
+  std::map<int64_t, int64_t> born_of;
+  for (int64_t version = 0; version < 6; ++version) {
+    for (int i = 0; i < 200; ++i) {
+      const int64_t key = static_cast<int64_t>(rng() % 96);
+      std::vector<uint64_t> deps;
+      for (int d = 0; d < 12; ++d) deps.push_back(rng() % 160);
+      deps.push_back((uint64_t{3} << 48) | static_cast<uint64_t>(key));
+      std::sort(deps.begin(), deps.end());
+      deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+      cache.Put(key, static_cast<int>(key), version, deps);
+      deps_of[key] = deps;
+      born_of[key] = version;
+    }
+    std::vector<int64_t> live;
+    int value = 0;
+    for (const auto& [key, deps] : deps_of) {
+      if (cache.Get(key, &value, version)) live.push_back(key);
+    }
+    ASSERT_EQ(static_cast<int64_t>(live.size()), cache.size());
+
+    std::vector<uint64_t> touched = {rng() % 160, rng() % 160,
+                                     (uint64_t{3} << 48) | 7};
+    int64_t expect_invalidated = 0;
+    for (int64_t key : live) {
+      const std::vector<uint64_t>& deps = deps_of[key];
+      bool hit = false;
+      for (uint64_t node : touched) {
+        hit = hit || std::binary_search(deps.begin(), deps.end(), node);
+      }
+      expect_invalidated += hit ? 1 : 0;
+    }
+    EXPECT_EQ(cache.Invalidate(touched, version + 1), expect_invalidated);
+    for (int64_t key : live) {
+      const std::vector<uint64_t>& deps = deps_of[key];
+      bool hit = false;
+      for (uint64_t node : touched) {
+        hit = hit || std::binary_search(deps.begin(), deps.end(), node);
+      }
+      EXPECT_EQ(cache.Get(key, &value, version + 1), !hit) << "key " << key;
+      // Valid from the version it was put at on, never before it.
+      const int64_t born = born_of[key];
+      EXPECT_EQ(cache.Get(key, &value, born), !hit) << "key " << key;
+      if (born > 0) {
+        EXPECT_FALSE(cache.Get(key, &value, born - 1)) << "key " << key;
+      }
+    }
+    // A Put computed at the superseded version is dropped.
+    cache.Put(1000, 1, version, {});
+    EXPECT_FALSE(cache.Get(1000, &value, version + 1));
+  }
 }
 
 // ----------------------------------------------------------- ServingFixture

@@ -10,16 +10,21 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
+#include "core/deadline.h"
 #include "core/fault_injection.h"
+#include "core/metrics.h"
 #include "datagen/ecommerce.h"
 #include "db2graph/graph_builder.h"
 #include "db2graph/streaming.h"
@@ -354,6 +359,170 @@ TEST_F(StreamingServeTest, DeltaInvalidatesExactlyTheTouchedNeighborhoods) {
   auto reference = MakeEngine(SharedGraph(rebuilt), now_, ServeOptions{});
   ExpectScoresExactlyEqual(rescored.value(),
                            reference->Score(all_users).value());
+}
+
+TEST_F(StreamingServeTest, EmbeddingsSurviveDeltaWithSubgraphCacheOff) {
+  // Embeddings carry their own dependencies, so precise invalidation needs
+  // no subgraph cache. Metrics are off, as in an uninstrumented server:
+  // invalidation must not hinge on instrumentation.
+  const bool metrics_were_on = MetricsEnabled();
+  SetMetricsEnabled(false);
+  struct RestoreMetrics {
+    bool on;
+    ~RestoreMetrics() { SetMetricsEnabled(on); }
+  } restore{metrics_were_on};
+
+  Database db = MakeDb();
+  auto stream = StreamingDbGraph::Create(&db).value();
+  std::shared_ptr<const HeteroGraph> base = stream->graph();
+  ServeOptions opts;
+  opts.enable_subgraph_cache = false;
+  auto engine = MakeEngine(base, now_, opts);
+
+  std::vector<int64_t> all_users;
+  for (int64_t u = 0; u < base->num_nodes(users_); ++u) {
+    all_users.push_back(u);
+  }
+  ASSERT_TRUE(engine->Score(all_users).ok());
+
+  // One order for user 5: touches that user's neighbourhood only.
+  auto result = stream->Apply(OrderAppends(db, 1, now_ - 1,
+                                           /*first_user=*/5));
+  ASSERT_TRUE(result.ok());
+  const GraphDelta& delta = result.value().delta;
+
+  // Which warm entries read a touched node (on the OLD epoch).
+  NeighborSampler sampler(base.get(), Sampler());
+  std::vector<bool> touched_seed(all_users.size(), false);
+  for (int64_t u : all_users) {
+    const Subgraph sg =
+        sampler.SampleForServing(users_, u, now_, engine->serving_salt());
+    const auto& deepest = sg.frontiers.back();
+    for (size_t t = 0; t < deepest.nodes.size(); ++t) {
+      if (t >= delta.touched.size()) continue;
+      for (int64_t node : deepest.nodes[t]) {
+        if (std::binary_search(delta.touched[t].begin(),
+                               delta.touched[t].end(), node)) {
+          touched_seed[static_cast<size_t>(u)] = true;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(touched_seed[5]);
+
+  ASSERT_TRUE(engine->ApplyDelta(result.value().graph, now_, delta).ok());
+  int64_t survivors = 0;
+  for (int64_t u : all_users) {
+    const ServeStats before = engine->stats();
+    ASSERT_TRUE(engine->Score({u}).ok());
+    const bool hit = engine->stats().embedding_hits > before.embedding_hits;
+    EXPECT_EQ(hit, !touched_seed[static_cast<size_t>(u)]) << "user " << u;
+    survivors += hit ? 1 : 0;
+  }
+  EXPECT_GT(survivors, 0);
+
+  auto rebuilt = std::make_shared<DbGraph>(
+      BuildDbGraph(db, stream->RebuildOptions()).value());
+  ServeOptions off;
+  off.enable_subgraph_cache = false;
+  off.enable_embedding_cache = false;
+  auto reference = MakeEngine(SharedGraph(rebuilt), now_, off);
+  ExpectScoresExactlyEqual(engine->Score(all_users).value(),
+                           reference->Score(all_users).value());
+}
+
+/// A real clock that parks one chosen thread on its next reading until the
+/// test releases it — a reader stalled right after pinning its snapshot.
+class ParkingClock : public Clock {
+ public:
+  int64_t NowNanos() const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (std::this_thread::get_id() == parked_) {
+      parked_ = std::thread::id();
+      state_ = State::kParked;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return state_ == State::kReleased; });
+    }
+    return Clock::Real()->NowNanos();
+  }
+
+  /// The calling thread parks on its next NowNanos().
+  void ParkNextReadOnThisThread() {
+    std::lock_guard<std::mutex> lock(mu_);
+    parked_ = std::this_thread::get_id();
+  }
+  void WaitUntilParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return state_ == State::kParked; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    state_ = State::kReleased;
+    cv_.notify_all();
+  }
+
+ private:
+  enum class State { kIdle, kParked, kReleased };
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable std::thread::id parked_;
+  mutable State state_ = State::kIdle;
+};
+
+TEST_F(StreamingServeTest, StragglerPutAfterInvalidationIsNeverServed) {
+  // A reader pinned to version 0 computes two seeds after ApplyDelta(1)
+  // invalidated both: seed 5 was cached (its entry got invalidated), seed
+  // 6 was not (nothing of it was indexed when the delta arrived). Its
+  // late Puts must never be served at version 1.
+  Database db = MakeDb();
+  auto stream = StreamingDbGraph::Create(&db).value();
+  std::shared_ptr<const HeteroGraph> base = stream->graph();
+  ParkingClock clock;
+  ServeOptions opts;
+  opts.clock = &clock;
+  auto engine = MakeEngine(base, now_, opts);
+  const std::vector<int64_t> seeds = {5, 6};
+
+  Result<ScoreResponse> straggler = Status::Internal("not run");
+  std::thread reader([&] {
+    ScoreRequest request;
+    request.entity_ids = seeds;
+    clock.ParkNextReadOnThisThread();
+    straggler = engine->ScoreWithOptions(request);
+  });
+  clock.WaitUntilParked();
+  ASSERT_TRUE(engine->Score({5}).ok());  // cached at version 0
+  auto result = stream->Apply(OrderAppends(db, 2, now_ - 1,
+                                           /*first_user=*/5));
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result.value().delta.touched[users_],
+            (std::vector<int64_t>{5, 6}));
+  ASSERT_TRUE(
+      engine->ApplyDelta(result.value().graph, now_, result.value().delta)
+          .ok());
+  clock.Release();
+  reader.join();
+
+  // The straggler answered for the snapshot it pinned.
+  ASSERT_TRUE(straggler.ok()) << straggler.status().message();
+  EXPECT_EQ(straggler.value().snapshot_version, 0);
+  ServeOptions off;
+  off.enable_subgraph_cache = false;
+  off.enable_embedding_cache = false;
+  ExpectScoresExactlyEqual(straggler.value().scores,
+                           MakeEngine(base, now_, off)->Score(seeds).value());
+
+  // Version 1 recomputes both seeds rather than serving the late Puts.
+  const ServeStats before = engine->stats();
+  auto fresh = engine->Score(seeds);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(engine->stats().embedding_hits, before.embedding_hits);
+  EXPECT_EQ(engine->stats().subgraph_hits, before.subgraph_hits);
+  auto rebuilt = std::make_shared<DbGraph>(
+      BuildDbGraph(db, stream->RebuildOptions()).value());
+  ExpectScoresExactlyEqual(
+      fresh.value(),
+      MakeEngine(SharedGraph(rebuilt), now_, off)->Score(seeds).value());
 }
 
 TEST_F(StreamingServeTest, CutoffAdvanceSwapsWholesale) {
