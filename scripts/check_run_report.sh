@@ -14,7 +14,7 @@ GOLDEN="tests/golden/train_save_serve_epochs.json"
 
 extract_epochs() {
   # The "epochs" array is the deterministic part of the report;
-  # fit_seconds / prefetch_stalls are wall-clock-dependent.
+  # fit_seconds is wall-clock-dependent.
   sed -n '/"epochs": \[/,/\]/p' "$1"
 }
 

@@ -60,6 +60,11 @@ case "$MODE" in
     # at a time; the same tests and goldens must hold.
     RELGRAPH_NUM_THREADS=1 ctest --preset default -j "$JOBS" -L serve
     RELGRAPH_NUM_THREADS=1 scripts/check_run_report.sh build
+    # Metrics-off lane: instrumentation must not change what the program
+    # does, so the serving, streaming and chaos tests hold uninstrumented.
+    RELGRAPH_METRICS=0 ctest --preset default -j "$JOBS" -L serve
+    RELGRAPH_METRICS=0 ctest --preset default -j "$JOBS" -L streaming
+    RELGRAPH_METRICS=0 ctest --preset default -j "$JOBS" -L chaos
     ;;
   nosimd)
     # The scalar-kernel lane: same tests, same goldens, vectorization off.
@@ -71,9 +76,10 @@ case "$MODE" in
     ;;
   tsan)
     # The concurrency surface: thread-pool runtime, metrics/trace layer,
-    # parallel GEMM, trainer prefetch, serving engine, read-only PK
-    # lookups. The gtest binaries run whole (ctest names tests by suite,
-    # not binary, so -R cannot select them); any TSan report is fatal.
+    # parallel GEMM, trainer seed groups and gradient sinks, serving
+    # engine, read-only PK lookups. The gtest binaries run whole (ctest
+    # names tests by suite, not binary, so -R cannot select them); any
+    # TSan report is fatal.
     cmake --preset tsan >/dev/null
     cmake --build --preset tsan -j "$JOBS"
     for t in parallel_test observability_test tensor_test train_test \

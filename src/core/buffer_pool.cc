@@ -31,6 +31,15 @@ int FloorLog2(size_t n) {
   return b;
 }
 
+// The calling thread's home shard: threads are dealt shards round-robin
+// on first use, so up to kNumShards threads never share one.
+int HomeShard(int num_shards) {
+  static std::atomic<int> next{0};
+  thread_local const int shard =
+      next.fetch_add(1, std::memory_order_relaxed) % num_shards;
+  return shard;
+}
+
 }  // namespace
 
 size_t FloatBufferPool::BinCap(int bin) {
@@ -55,17 +64,24 @@ std::vector<float> FloatBufferPool::Acquire(size_t n) {
   if (n == 0) return {};
   const int bin = CeilLog2(n);
   if (enabled_ && bin < kNumBins) {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Exact bin only: everything in bin b has capacity in [2^b, 2^(b+1)),
-    // which covers every request whose ceil-log2 class is b. Confining a
-    // class to its own bin keeps classes from draining each other's
-    // buffers, so one warm run seeds the pool for all later runs — the
-    // property the steady-state zero-alloc tests pin down.
-    if (!bins_[bin].empty()) {
-      std::vector<float> buf = std::move(bins_[bin].back());
-      bins_[bin].pop_back();
-      pool_hits_.fetch_add(1, std::memory_order_relaxed);
-      pooled_bytes_.fetch_sub(
+    // Home shard first, then the others in a fixed rotation. Exact bin
+    // only: everything in bin b has capacity in [2^b, 2^(b+1)), which
+    // covers every request whose ceil-log2 class is b. Confining a class
+    // to its own bin keeps classes from draining each other's buffers, so
+    // one warm run seeds the pool for all later runs — the property the
+    // steady-state zero-alloc tests pin down.
+    const int home = HomeShard(kNumShards);
+    for (int k = 0; k < kNumShards; ++k) {
+      Shard& shard = shards_[(home + k) % kNumShards];
+      if (shard.idle[bin].load(std::memory_order_relaxed) == 0) continue;
+      std::lock_guard<std::mutex> lock(shard.mu);
+      std::vector<std::vector<float>>& free = shard.bins[bin];
+      if (free.empty()) continue;
+      std::vector<float> buf = std::move(free.back());
+      free.pop_back();
+      shard.idle[bin].store(free.size(), std::memory_order_relaxed);
+      shard.pool_hits.fetch_add(1, std::memory_order_relaxed);
+      shard.pooled_bytes.fetch_sub(
           static_cast<int64_t>(buf.capacity() * sizeof(float)),
           std::memory_order_relaxed);
       RELGRAPH_POOL_UNPOISON(buf.data(), buf.capacity() * sizeof(float));
@@ -89,13 +105,17 @@ void FloatBufferPool::Release(std::vector<float>&& buf) {
   if (enabled_) {
     const int bin = FloorLog2(cap);
     if (bin < kNumBins) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (bins_[bin].size() < BinCap(bin)) {
+      Shard& shard = shards_[HomeShard(kNumShards)];
+      std::lock_guard<std::mutex> lock(shard.mu);
+      if (shard.bins[bin].size() < BinCap(bin)) {
         RELGRAPH_POOL_POISON(buf.data(), cap * sizeof(float));
-        bins_[bin].push_back(std::move(buf));
-        released_.fetch_add(1, std::memory_order_relaxed);
-        pooled_bytes_.fetch_add(static_cast<int64_t>(cap * sizeof(float)),
-                                std::memory_order_relaxed);
+        shard.bins[bin].push_back(std::move(buf));
+        shard.idle[bin].store(shard.bins[bin].size(),
+                              std::memory_order_relaxed);
+        shard.released.fetch_add(1, std::memory_order_relaxed);
+        shard.pooled_bytes.fetch_add(
+            static_cast<int64_t>(cap * sizeof(float)),
+            std::memory_order_relaxed);
         return;
       }
     }
@@ -110,23 +130,28 @@ void FloatBufferPool::Release(std::vector<float>&& buf) {
 FloatBufferPool::Stats FloatBufferPool::stats() const {
   Stats s;
   s.heap_allocs = heap_allocs_.load(std::memory_order_relaxed);
-  s.pool_hits = pool_hits_.load(std::memory_order_relaxed);
-  s.released = released_.load(std::memory_order_relaxed);
   s.dropped = dropped_.load(std::memory_order_relaxed);
-  s.pooled_bytes = pooled_bytes_.load(std::memory_order_relaxed);
+  for (const Shard& shard : shards_) {
+    s.pool_hits += shard.pool_hits.load(std::memory_order_relaxed);
+    s.released += shard.released.load(std::memory_order_relaxed);
+    s.pooled_bytes += shard.pooled_bytes.load(std::memory_order_relaxed);
+  }
   return s;
 }
 
 void FloatBufferPool::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& bin : bins_) {
-    for (auto& buf : bin) {
-      RELGRAPH_POOL_UNPOISON(buf.data(), buf.capacity() * sizeof(float));
-      pooled_bytes_.fetch_sub(
-          static_cast<int64_t>(buf.capacity() * sizeof(float)),
-          std::memory_order_relaxed);
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (int b = 0; b < kNumBins; ++b) {
+      for (auto& buf : shard.bins[b]) {
+        RELGRAPH_POOL_UNPOISON(buf.data(), buf.capacity() * sizeof(float));
+        shard.pooled_bytes.fetch_sub(
+            static_cast<int64_t>(buf.capacity() * sizeof(float)),
+            std::memory_order_relaxed);
+      }
+      shard.bins[b].clear();
+      shard.idle[b].store(0, std::memory_order_relaxed);
     }
-    bin.clear();
   }
 }
 

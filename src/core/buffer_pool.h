@@ -23,9 +23,15 @@ namespace relgraph {
 /// by its tensor's constructor — so results are bit-identical with the
 /// pool on, off (`RELGRAPH_ARENA=0`), warm, or cold.
 ///
-/// Thread safety: all operations take one internal mutex; acquisition
-/// happens per tensor (not per element), so contention is negligible next
-/// to the kernels that run on the buffers.
+/// Thread safety: the pool is split into shards, each with its own mutex
+/// and bins, and a thread acquires from and releases to its own shard
+/// first. Training runs several autograd tapes at once (one per seed
+/// group), each allocating and freeing thousands of small buffers; with a
+/// single lock those threads serialized on the pool. An acquire that
+/// finds its own shard's bin empty takes a buffer from another shard
+/// before touching the heap, so the heap is hit only when no shard holds
+/// a buffer of the class — the same warm-pool behaviour as one shared
+/// pool.
 ///
 /// Under AddressSanitizer the pool poisons buffers while they sit idle and
 /// unpoisons them on acquisition, so a use-after-release (the classic bug
@@ -69,9 +75,9 @@ class FloatBufferPool {
  private:
   FloatBufferPool();
 
-  // Buffers a bin may retain before Release starts freeing instead of
-  // pooling: each bin holds up to ~kBinBudgetBytes of idle memory,
-  // clamped to [kMinPerBin, kMaxPerBin] buffers. Byte-based so the
+  // Buffers a shard's bin may retain before Release starts freeing
+  // instead of pooling: each bin holds up to ~kBinBudgetBytes of idle
+  // memory, clamped to [kMinPerBin, kMaxPerBin] buffers. Byte-based so the
   // sub-KB classes — a training tape floats hundreds of small weight /
   // gradient / optimizer-slot buffers at once — are retained in bulk,
   // while a few huge buffers already pin plenty of memory.
@@ -80,15 +86,25 @@ class FloatBufferPool {
   static constexpr size_t kMinPerBin = 8;
   static constexpr size_t kMaxPerBin = 4096;
   static constexpr int kNumBins = 48;
+  static constexpr int kNumShards = 8;
+
+  /// One lock domain, cache-line aligned so shards never share a line.
+  struct alignas(64) Shard {
+    std::mutex mu;
+    std::vector<std::vector<float>> bins[kNumBins];
+    /// bins[b].size(), written under `mu`: lets an acquire skip a shard
+    /// with nothing to give without taking its lock.
+    std::atomic<size_t> idle[kNumBins] = {};
+    // Written under `mu`; atomic so stats() can read without it.
+    std::atomic<int64_t> pool_hits{0};
+    std::atomic<int64_t> released{0};
+    std::atomic<int64_t> pooled_bytes{0};
+  };
 
   bool enabled_;
-  mutable std::mutex mu_;
-  std::vector<std::vector<float>> bins_[kNumBins];
+  Shard shards_[kNumShards];
   std::atomic<int64_t> heap_allocs_{0};
-  std::atomic<int64_t> pool_hits_{0};
-  std::atomic<int64_t> released_{0};
   std::atomic<int64_t> dropped_{0};
-  std::atomic<int64_t> pooled_bytes_{0};
 };
 
 /// The low-precision storage dtypes the memory accountant distinguishes.

@@ -149,20 +149,25 @@ Status WriteMetricsJson(const std::string& path,
 
 // Counter site macro: one relaxed load when disabled, one cached-pointer
 // atomic add when enabled. `name` must be a string literal (the cached
-// static makes a dynamic name stick to its first value).
+// static makes a dynamic name stick to its first value). `n` is evaluated
+// exactly once, before the switch is read, in every build: an argument
+// with a side effect runs the same whether metrics are on, off, or
+// compiled out.
 #ifdef RELGRAPH_NO_METRICS
 #define RELGRAPH_COUNTER_ADD(name, n) \
   do {                                \
+    (void)(n);                        \
   } while (0)
 #else
-#define RELGRAPH_COUNTER_ADD(name, n)                           \
-  do {                                                          \
-    if (::relgraph::MetricsEnabled()) {                         \
-      static ::relgraph::Counter* relgraph_counter_ =           \
-          ::relgraph::MetricsRegistry::Global().GetCounter(     \
-              name);                                            \
-      relgraph_counter_->Add(n);                                \
-    }                                                           \
+#define RELGRAPH_COUNTER_ADD(name, n)                            \
+  do {                                                           \
+    const int64_t relgraph_counter_n_ = static_cast<int64_t>(n); \
+    if (::relgraph::MetricsEnabled()) {                          \
+      static ::relgraph::Counter* relgraph_counter_ =            \
+          ::relgraph::MetricsRegistry::Global().GetCounter(      \
+              name);                                             \
+      relgraph_counter_->Add(relgraph_counter_n_);               \
+    }                                                            \
   } while (0)
 #endif
 

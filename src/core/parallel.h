@@ -12,7 +12,7 @@ namespace relgraph {
 /// Deterministic shared thread-pool runtime.
 ///
 /// All parallel hot paths in RelGraph (GEMM kernels, neighbor sampling,
-/// sampler prefetch, serving seed slices) run on one lazily-started
+/// training seed groups, serving seed slices) run on one lazily-started
 /// global pool. The pool is sized by the `RELGRAPH_NUM_THREADS`
 /// environment variable (default: `std::thread::hardware_concurrency()`,
 /// value `1` = fully serial fallback with no worker threads).
@@ -41,9 +41,8 @@ class ThreadPool {
   void ParallelChunks(int64_t num_chunks,
                       const std::function<void(int64_t)>& fn);
 
-  /// Enqueues a standalone task (used by the trainer's sampler prefetch).
-  /// With no workers (serial mode) or when called from a worker, the task
-  /// runs inline before returning.
+  /// Enqueues a standalone task. With no workers (serial mode) or when
+  /// called from a worker, the task runs inline before returning.
   void Submit(std::function<void()> fn);
 
   /// Test-only: stops the pool and restarts it with `n` threads (n >= 1),

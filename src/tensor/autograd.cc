@@ -17,8 +17,26 @@ Tensor& Var::grad() {
   return grad_;
 }
 
+Tensor& Var::grad(GradSink* sink) {
+  if (sink != nullptr && !backward_fn_) return sink->For(this);
+  return grad();
+}
+
 void Var::ZeroGrad() {
   if (grad_init_) grad_.Fill(0.0f);
+}
+
+Tensor& GradSink::For(const Var* param) {
+  auto [it, inserted] = grads_.try_emplace(param);
+  if (inserted) it->second = Tensor::Zeros(param->rows(), param->cols());
+  return it->second;
+}
+
+void GradSink::AddTo(const std::vector<VarPtr>& params) const {
+  for (const VarPtr& p : params) {
+    auto it = grads_.find(p.get());
+    if (it != grads_.end()) p->grad().Add(it->second);
+  }
 }
 
 namespace ag {
@@ -28,7 +46,7 @@ namespace {
 /// Creates a result node whose parents/backward are wired only when at
 /// least one parent participates in gradient computation.
 VarPtr MakeNode(Tensor value, std::vector<VarPtr> parents,
-                std::function<void(Var*)> backward) {
+                std::function<void(Var*, GradSink*)> backward) {
   bool needs = false;
   for (const auto& p : parents) needs = needs || p->requires_grad();
   auto out = std::make_shared<Var>(std::move(value), needs);
@@ -37,9 +55,18 @@ VarPtr MakeNode(Tensor value, std::vector<VarPtr> parents,
     // the result node, so the pointer cannot dangle while it is callable.
     Var* raw = out.get();
     out->SetEdge(std::move(parents),
-                 [raw, backward = std::move(backward)]() { backward(raw); });
+                 [raw, backward = std::move(backward)](GradSink* sink) {
+                   backward(raw, sink);
+                 });
   }
   return out;
+}
+
+/// The gradient a closure accumulates into for `v`, or null when `v` takes
+/// none. Resolved once per closure: a sink lookup is a hash probe, so it
+/// must stay out of per-element loops.
+Tensor* GradOrNull(const VarPtr& v, GradSink* sink) {
+  return v->requires_grad() ? &v->grad(sink) : nullptr;
 }
 
 }  // namespace
@@ -54,10 +81,10 @@ VarPtr Param(Tensor value) {
 
 VarPtr MatMul(const VarPtr& a, const VarPtr& b) {
   Tensor out = relgraph::MatMul(a->value(), b->value());
-  return MakeNode(std::move(out), {a, b}, [a, b](Var* node) {
+  return MakeNode(std::move(out), {a, b}, [a, b](Var* node, GradSink* sink) {
     const Tensor& g = node->grad();
-    if (a->requires_grad()) a->grad().Add(MatMulBT(g, b->value()));
-    if (b->requires_grad()) b->grad().Add(MatMulAT(a->value(), g));
+    if (a->requires_grad()) a->grad(sink).Add(MatMulBT(g, b->value()));
+    if (b->requires_grad()) b->grad(sink).Add(MatMulAT(a->value(), g));
   });
 }
 
@@ -72,58 +99,63 @@ VarPtr MatMulPacked(const VarPtr& a,
   // Backward reads the unpacked weight; the panels are a forward-only
   // artifact (the node keeps them alive via the closure for nothing more
   // than symmetry — gradients never touch them).
-  return MakeNode(std::move(out), {a, w}, [a, w](Var* node) {
+  return MakeNode(std::move(out), {a, w}, [a, w](Var* node, GradSink* sink) {
     const Tensor& g = node->grad();
-    if (a->requires_grad()) a->grad().Add(MatMulBT(g, w->value()));
-    if (w->requires_grad()) w->grad().Add(MatMulAT(a->value(), g));
+    if (a->requires_grad()) a->grad(sink).Add(MatMulBT(g, w->value()));
+    if (w->requires_grad()) w->grad(sink).Add(MatMulAT(a->value(), g));
   });
 }
 
 VarPtr Add(const VarPtr& a, const VarPtr& b) {
   Tensor out = relgraph::Add(a->value(), b->value());
-  return MakeNode(std::move(out), {a, b}, [a, b](Var* node) {
+  return MakeNode(std::move(out), {a, b}, [a, b](Var* node, GradSink* sink) {
     const Tensor& g = node->grad();
-    if (a->requires_grad()) a->grad().Add(g);
-    if (b->requires_grad()) b->grad().Add(g);
+    if (a->requires_grad()) a->grad(sink).Add(g);
+    if (b->requires_grad()) b->grad(sink).Add(g);
   });
 }
 
 VarPtr Sub(const VarPtr& a, const VarPtr& b) {
   Tensor out = relgraph::Sub(a->value(), b->value());
-  return MakeNode(std::move(out), {a, b}, [a, b](Var* node) {
+  return MakeNode(std::move(out), {a, b}, [a, b](Var* node, GradSink* sink) {
     const Tensor& g = node->grad();
-    if (a->requires_grad()) a->grad().Add(g);
+    if (a->requires_grad()) a->grad(sink).Add(g);
     if (b->requires_grad()) {
-      kern::AxpyInto(b->grad().data(), g.data(), -1.0f, g.numel());
+      kern::AxpyInto(b->grad(sink).data(), g.data(), -1.0f, g.numel());
     }
   });
 }
 
 VarPtr Mul(const VarPtr& a, const VarPtr& b) {
   Tensor out = relgraph::Mul(a->value(), b->value());
-  return MakeNode(std::move(out), {a, b}, [a, b](Var* node) {
+  return MakeNode(std::move(out), {a, b}, [a, b](Var* node, GradSink* sink) {
     const Tensor& g = node->grad();
-    if (a->requires_grad()) a->grad().Add(relgraph::Mul(g, b->value()));
-    if (b->requires_grad()) b->grad().Add(relgraph::Mul(g, a->value()));
+    if (a->requires_grad()) {
+      a->grad(sink).Add(relgraph::Mul(g, b->value()));
+    }
+    if (b->requires_grad()) {
+      b->grad(sink).Add(relgraph::Mul(g, a->value()));
+    }
   });
 }
 
 VarPtr AddBias(const VarPtr& a, const VarPtr& bias) {
   Tensor out = AddRowBroadcast(a->value(), bias->value());
-  return MakeNode(std::move(out), {a, bias}, [a, bias](Var* node) {
+  return MakeNode(std::move(out), {a, bias}, [a, bias](Var* node,
+                                                       GradSink* sink) {
     const Tensor& g = node->grad();
-    if (a->requires_grad()) a->grad().Add(g);
-    if (bias->requires_grad()) bias->grad().Add(SumRows(g));
+    if (a->requires_grad()) a->grad(sink).Add(g);
+    if (bias->requires_grad()) bias->grad(sink).Add(SumRows(g));
   });
 }
 
 VarPtr Scale(const VarPtr& a, float s) {
   Tensor out = a->value();
   out.Scale(s);
-  return MakeNode(std::move(out), {a}, [a, s](Var* node) {
+  return MakeNode(std::move(out), {a}, [a, s](Var* node, GradSink* sink) {
     if (!a->requires_grad()) return;
     const Tensor& g = node->grad();
-    kern::AxpyInto(a->grad().data(), g.data(), s, g.numel());
+    kern::AxpyInto(a->grad(sink).data(), g.data(), s, g.numel());
   });
 }
 
@@ -132,11 +164,11 @@ VarPtr Exp(const VarPtr& a) {
   for (int64_t i = 0; i < out.numel(); ++i) {
     out.data()[i] = std::exp(out.data()[i]);
   }
-  return MakeNode(std::move(out), {a}, [a](Var* node) {
+  return MakeNode(std::move(out), {a}, [a](Var* node, GradSink* sink) {
     if (!a->requires_grad()) return;
     const Tensor& g = node->grad();
     const Tensor& y = node->value();
-    Tensor& ag = a->grad();
+    Tensor& ag = a->grad(sink);
     for (int64_t i = 0; i < g.numel(); ++i) {
       ag.data()[i] += g.data()[i] * y.data()[i];
     }
@@ -149,14 +181,15 @@ VarPtr Div(const VarPtr& a, const VarPtr& b) {
   for (int64_t i = 0; i < out.numel(); ++i) {
     out.data()[i] = a->value().data()[i] / b->value().data()[i];
   }
-  return MakeNode(std::move(out), {a, b}, [a, b](Var* node) {
+  return MakeNode(std::move(out), {a, b}, [a, b](Var* node, GradSink* sink) {
     const Tensor& g = node->grad();
+    Tensor* ag = GradOrNull(a, sink);
+    Tensor* bg = GradOrNull(b, sink);
     for (int64_t i = 0; i < g.numel(); ++i) {
       const float bv = b->value().data()[i];
-      if (a->requires_grad()) a->grad().data()[i] += g.data()[i] / bv;
-      if (b->requires_grad()) {
-        b->grad().data()[i] -=
-            g.data()[i] * a->value().data()[i] / (bv * bv);
+      if (ag != nullptr) ag->data()[i] += g.data()[i] / bv;
+      if (bg != nullptr) {
+        bg->data()[i] -= g.data()[i] * a->value().data()[i] / (bv * bv);
       }
     }
   });
@@ -171,18 +204,18 @@ VarPtr MulColBroadcast(const VarPtr& a, const VarPtr& w) {
       out.at(r, c) = a->value().at(r, c) * wv;
     }
   }
-  return MakeNode(std::move(out), {a, w}, [a, w](Var* node) {
+  return MakeNode(std::move(out), {a, w}, [a, w](Var* node, GradSink* sink) {
     const Tensor& g = node->grad();
+    Tensor* ag = GradOrNull(a, sink);
+    Tensor* wg = GradOrNull(w, sink);
     for (int64_t r = 0; r < g.rows(); ++r) {
       const float wv = w->value().at(r, 0);
       double acc = 0.0;
       for (int64_t c = 0; c < g.cols(); ++c) {
-        if (a->requires_grad()) a->grad().at(r, c) += g.at(r, c) * wv;
+        if (ag != nullptr) ag->at(r, c) += g.at(r, c) * wv;
         acc += static_cast<double>(g.at(r, c)) * a->value().at(r, c);
       }
-      if (w->requires_grad()) {
-        w->grad().at(r, 0) += static_cast<float>(acc);
-      }
+      if (wg != nullptr) wg->at(r, 0) += static_cast<float>(acc);
     }
   });
 }
@@ -217,7 +250,8 @@ VarPtr SegmentSoftmax(const VarPtr& scores,
   }
   auto ids = std::make_shared<std::vector<int64_t>>(std::move(segment_ids));
   return MakeNode(std::move(out), {scores}, [scores, ids,
-                                             num_segments](Var* node) {
+                                             num_segments](
+                                                Var* node, GradSink* sink) {
     if (!scores->requires_grad()) return;
     const Tensor& g = node->grad();
     const Tensor& w = node->value();
@@ -228,9 +262,10 @@ VarPtr SegmentSoftmax(const VarPtr& scores,
           static_cast<double>(w.at(static_cast<int64_t>(i), 0)) *
           g.at(static_cast<int64_t>(i), 0);
     }
+    Tensor& sg = scores->grad(sink);
     for (size_t i = 0; i < ids->size(); ++i) {
       const int64_t r = static_cast<int64_t>(i);
-      scores->grad().at(r, 0) += static_cast<float>(
+      sg.at(r, 0) += static_cast<float>(
           w.at(r, 0) * (g.at(r, 0) -
                         seg_dot[static_cast<size_t>((*ids)[i])]));
     }
@@ -240,10 +275,10 @@ VarPtr SegmentSoftmax(const VarPtr& scores,
 VarPtr Relu(const VarPtr& a) {
   Tensor out(a->rows(), a->cols());
   kern::ReluOut(out.data(), a->value().data(), out.numel());
-  return MakeNode(std::move(out), {a}, [a](Var* node) {
+  return MakeNode(std::move(out), {a}, [a](Var* node, GradSink* sink) {
     if (!a->requires_grad()) return;
     const Tensor& g = node->grad();
-    kern::ReluGradAccum(a->grad().data(), g.data(), a->value().data(),
+    kern::ReluGradAccum(a->grad(sink).data(), g.data(), a->value().data(),
                         g.numel());
   });
 }
@@ -254,10 +289,10 @@ VarPtr LeakyRelu(const VarPtr& a, float slope) {
     float v = out.data()[i];
     out.data()[i] = v > 0.0f ? v : slope * v;
   }
-  return MakeNode(std::move(out), {a}, [a, slope](Var* node) {
+  return MakeNode(std::move(out), {a}, [a, slope](Var* node, GradSink* sink) {
     if (!a->requires_grad()) return;
     const Tensor& g = node->grad();
-    Tensor& ag = a->grad();
+    Tensor& ag = a->grad(sink);
     const Tensor& x = a->value();
     for (int64_t i = 0; i < g.numel(); ++i) {
       ag.data()[i] += g.data()[i] * (x.data()[i] > 0.0f ? 1.0f : slope);
@@ -270,11 +305,11 @@ VarPtr Tanh(const VarPtr& a) {
   for (int64_t i = 0; i < out.numel(); ++i) {
     out.data()[i] = std::tanh(out.data()[i]);
   }
-  return MakeNode(std::move(out), {a}, [a](Var* node) {
+  return MakeNode(std::move(out), {a}, [a](Var* node, GradSink* sink) {
     if (!a->requires_grad()) return;
     const Tensor& g = node->grad();
     const Tensor& y = node->value();
-    Tensor& ag = a->grad();
+    Tensor& ag = a->grad(sink);
     for (int64_t i = 0; i < g.numel(); ++i) {
       ag.data()[i] += g.data()[i] * (1.0f - y.data()[i] * y.data()[i]);
     }
@@ -286,11 +321,11 @@ VarPtr Sigmoid(const VarPtr& a) {
   for (int64_t i = 0; i < out.numel(); ++i) {
     out.data()[i] = 1.0f / (1.0f + std::exp(-out.data()[i]));
   }
-  return MakeNode(std::move(out), {a}, [a](Var* node) {
+  return MakeNode(std::move(out), {a}, [a](Var* node, GradSink* sink) {
     if (!a->requires_grad()) return;
     const Tensor& g = node->grad();
     const Tensor& y = node->value();
-    Tensor& ag = a->grad();
+    Tensor& ag = a->grad(sink);
     for (int64_t i = 0; i < g.numel(); ++i) {
       ag.data()[i] += g.data()[i] * y.data()[i] * (1.0f - y.data()[i]);
     }
@@ -314,9 +349,9 @@ VarPtr Dropout(const VarPtr& a, float p, Rng* rng, bool training) {
       out.data()[i] = 0.0f;
     }
   }
-  return MakeNode(std::move(out), {a}, [a, mask](Var* node) {
+  return MakeNode(std::move(out), {a}, [a, mask](Var* node, GradSink* sink) {
     if (!a->requires_grad()) return;
-    a->grad().Add(relgraph::Mul(node->grad(), *mask));
+    a->grad(sink).Add(relgraph::Mul(node->grad(), *mask));
   });
 }
 
@@ -338,12 +373,13 @@ VarPtr ConcatCols(const std::vector<VarPtr>& parts) {
     }
     offset += p->cols();
   }
-  return MakeNode(std::move(out), parts, [parts, cols](Var* node) {
+  return MakeNode(std::move(out), parts, [parts, cols](Var* node,
+                                                       GradSink* sink) {
     const Tensor& g = node->grad();
     int64_t off = 0;
     for (const auto& p : parts) {
       if (p->requires_grad()) {
-        Tensor& pg = p->grad();
+        Tensor& pg = p->grad(sink);
         const int64_t pcols = p->cols();
         for (int64_t r = 0; r < p->rows(); ++r) {
           kern::AddInto(pg.data() + r * pcols, g.data() + r * cols + off,
@@ -361,11 +397,11 @@ VarPtr SliceRows(const VarPtr& a, int64_t row_begin, int64_t num_rows) {
   const bool needs = a->requires_grad();
   auto out = std::make_shared<Var>(std::move(view), needs);
   Var* raw = out.get();
-  std::function<void()> backward;
+  std::function<void(GradSink*)> backward;
   if (needs) {
-    backward = [a, raw, row_begin]() {
+    backward = [a, raw, row_begin](GradSink* sink) {
       const Tensor& g = raw->grad();
-      kern::AddInto(a->grad().data() + row_begin * g.cols(), g.data(),
+      kern::AddInto(a->grad(sink).data() + row_begin * g.cols(), g.data(),
                     g.numel());
     };
   }
@@ -378,10 +414,10 @@ VarPtr SliceRows(const VarPtr& a, int64_t row_begin, int64_t num_rows) {
 VarPtr GatherRows(const VarPtr& a, std::vector<int64_t> indices) {
   Tensor out = a->value().GatherRows(indices);
   auto idx = std::make_shared<std::vector<int64_t>>(std::move(indices));
-  return MakeNode(std::move(out), {a}, [a, idx](Var* node) {
+  return MakeNode(std::move(out), {a}, [a, idx](Var* node, GradSink* sink) {
     if (!a->requires_grad()) return;
     const Tensor& g = node->grad();
-    Tensor& ag = a->grad();
+    Tensor& ag = a->grad(sink);
     const int64_t cols = g.cols();
     for (size_t i = 0; i < idx->size(); ++i) {
       const int64_t r = (*idx)[i];
@@ -405,10 +441,11 @@ VarPtr SegmentSum(const VarPtr& a, std::vector<int64_t> segment_ids,
                   cols);
   }
   auto ids = std::make_shared<std::vector<int64_t>>(std::move(segment_ids));
-  return MakeNode(std::move(out), {a}, [a, ids, cols](Var* node) {
+  return MakeNode(std::move(out), {a}, [a, ids, cols](Var* node,
+                                                      GradSink* sink) {
     if (!a->requires_grad()) return;
     const Tensor& g = node->grad();
-    Tensor& ag = a->grad();
+    Tensor& ag = a->grad(sink);
     for (size_t i = 0; i < ids->size(); ++i) {
       const int64_t s = (*ids)[i];
       kern::AddInto(ag.data() + static_cast<int64_t>(i) * cols,
@@ -437,10 +474,11 @@ VarPtr SegmentMean(const VarPtr& a, std::vector<int64_t> segment_ids,
                    inv, cols);
   }
   auto ids = std::make_shared<std::vector<int64_t>>(std::move(segment_ids));
-  return MakeNode(std::move(out), {a}, [a, ids, counts, cols](Var* node) {
+  return MakeNode(std::move(out), {a}, [a, ids, counts, cols](
+                                           Var* node, GradSink* sink) {
     if (!a->requires_grad()) return;
     const Tensor& g = node->grad();
-    Tensor& ag = a->grad();
+    Tensor& ag = a->grad(sink);
     for (size_t i = 0; i < ids->size(); ++i) {
       const int64_t s = (*ids)[i];
       const float inv = 1.0f / (*counts)[static_cast<size_t>(s)];
@@ -472,10 +510,11 @@ VarPtr SegmentMax(const VarPtr& a, std::vector<int64_t> segment_ids,
   }
   // Empty segments stay at zero (argmax -1).
   return MakeNode(std::move(out), {a}, [a, argmax, cols,
-                                        num_segments](Var* node) {
+                                        num_segments](Var* node,
+                                                      GradSink* sink) {
     if (!a->requires_grad()) return;
     const Tensor& g = node->grad();
-    Tensor& ag = a->grad();
+    Tensor& ag = a->grad(sink);
     for (int64_t s = 0; s < num_segments; ++s) {
       for (int64_t c = 0; c < cols; ++c) {
         const int64_t i = (*argmax)[static_cast<size_t>(s * cols + c)];
@@ -515,9 +554,13 @@ VarPtr LayerNorm(const VarPtr& x, const VarPtr& gain, const VarPtr& bias,
     }
   }
   return MakeNode(std::move(out), {x, gain, bias}, [x, gain, bias, xhat,
-                                                    inv_sigma, n,
-                                                    d](Var* node) {
+                                                    inv_sigma, n, d](
+                                                       Var* node,
+                                                       GradSink* sink) {
     const Tensor& g = node->grad();
+    Tensor* xg = GradOrNull(x, sink);
+    Tensor* gain_g = GradOrNull(gain, sink);
+    Tensor* bias_g = GradOrNull(bias, sink);
     for (int64_t r = 0; r < n; ++r) {
       // Per-row reductions for the x gradient.
       double sum_gy = 0.0, sum_gy_xhat = 0.0;
@@ -530,17 +573,13 @@ VarPtr LayerNorm(const VarPtr& x, const VarPtr& gain, const VarPtr& bias,
       const double mean_gy_xhat = sum_gy_xhat / static_cast<double>(d);
       for (int64_t c = 0; c < d; ++c) {
         const double gy = g.at(r, c) * gain->value().at(0, c);
-        if (x->requires_grad()) {
-          x->grad().at(r, c) += static_cast<float>(
+        if (xg != nullptr) {
+          xg->at(r, c) += static_cast<float>(
               (gy - mean_gy - xhat->at(r, c) * mean_gy_xhat) *
               (*inv_sigma)[static_cast<size_t>(r)]);
         }
-        if (gain->requires_grad()) {
-          gain->grad().at(0, c) += g.at(r, c) * xhat->at(r, c);
-        }
-        if (bias->requires_grad()) {
-          bias->grad().at(0, c) += g.at(r, c);
-        }
+        if (gain_g != nullptr) gain_g->at(0, c) += g.at(r, c) * xhat->at(r, c);
+        if (bias_g != nullptr) bias_g->at(0, c) += g.at(r, c);
       }
     }
   });
@@ -556,18 +595,20 @@ VarPtr RowwiseDot(const VarPtr& a, const VarPtr& b) {
     }
     out.at(r, 0) = static_cast<float>(acc);
   }
-  return MakeNode(std::move(out), {a, b}, [a, b](Var* node) {
+  return MakeNode(std::move(out), {a, b}, [a, b](Var* node, GradSink* sink) {
     const Tensor& g = node->grad();
+    Tensor* ag = GradOrNull(a, sink);
+    Tensor* bg = GradOrNull(b, sink);
     for (int64_t r = 0; r < a->rows(); ++r) {
       const float gr = g.at(r, 0);
-      if (a->requires_grad()) {
+      if (ag != nullptr) {
         for (int64_t c = 0; c < a->cols(); ++c) {
-          a->grad().at(r, c) += gr * b->value().at(r, c);
+          ag->at(r, c) += gr * b->value().at(r, c);
         }
       }
-      if (b->requires_grad()) {
+      if (bg != nullptr) {
         for (int64_t c = 0; c < b->cols(); ++c) {
-          b->grad().at(r, c) += gr * a->value().at(r, c);
+          bg->at(r, c) += gr * a->value().at(r, c);
         }
       }
     }
@@ -577,10 +618,10 @@ VarPtr RowwiseDot(const VarPtr& a, const VarPtr& b) {
 VarPtr Sum(const VarPtr& a) {
   Tensor out(1, 1);
   out.at(0, 0) = a->value().Sum();
-  return MakeNode(std::move(out), {a}, [a](Var* node) {
+  return MakeNode(std::move(out), {a}, [a](Var* node, GradSink* sink) {
     if (!a->requires_grad()) return;
     const float g = node->grad().at(0, 0);
-    Tensor& ag = a->grad();
+    Tensor& ag = a->grad(sink);
     for (int64_t i = 0; i < ag.numel(); ++i) ag.data()[i] += g;
   });
 }
@@ -607,10 +648,10 @@ VarPtr SoftmaxCrossEntropy(const VarPtr& logits,
   out.at(0, 0) = static_cast<float>(loss / std::max<int64_t>(n, 1));
   auto lab = std::make_shared<std::vector<int64_t>>(labels);
   return MakeNode(std::move(out), {logits}, [logits, probs, lab, n,
-                                             k](Var* node) {
+                                             k](Var* node, GradSink* sink) {
     if (!logits->requires_grad()) return;
     const float g = node->grad().at(0, 0) / static_cast<float>(n);
-    Tensor& lg = logits->grad();
+    Tensor& lg = logits->grad(sink);
     for (int64_t r = 0; r < n; ++r) {
       for (int64_t c = 0; c < k; ++c) {
         float p = probs->at(r, c);
@@ -637,11 +678,13 @@ VarPtr BinaryCrossEntropyWithLogits(const VarPtr& logits,
   Tensor out(1, 1);
   out.at(0, 0) = static_cast<float>(loss / std::max<int64_t>(n, 1));
   auto tgt = std::make_shared<Tensor>(targets);
-  return MakeNode(std::move(out), {logits}, [logits, sig, tgt, n](Var* node) {
+  return MakeNode(std::move(out), {logits}, [logits, sig, tgt, n](
+                                                 Var* node, GradSink* sink) {
     if (!logits->requires_grad()) return;
     const float g = node->grad().at(0, 0) / static_cast<float>(n);
+    Tensor& lg = logits->grad(sink);
     for (int64_t r = 0; r < n; ++r) {
-      logits->grad().at(r, 0) += g * (sig->at(r, 0) - tgt->at(r, 0));
+      lg.at(r, 0) += g * (sig->at(r, 0) - tgt->at(r, 0));
     }
   });
 }
@@ -657,12 +700,13 @@ VarPtr MseLoss(const VarPtr& pred, const Tensor& targets) {
   Tensor out(1, 1);
   out.at(0, 0) = static_cast<float>(loss / std::max<int64_t>(n, 1));
   auto tgt = std::make_shared<Tensor>(targets);
-  return MakeNode(std::move(out), {pred}, [pred, tgt, n](Var* node) {
+  return MakeNode(std::move(out), {pred}, [pred, tgt, n](Var* node,
+                                                         GradSink* sink) {
     if (!pred->requires_grad()) return;
     const float g = 2.0f * node->grad().at(0, 0) / static_cast<float>(n);
+    float* pg = pred->grad(sink).data();
     for (int64_t i = 0; i < n; ++i) {
-      pred->grad().data()[i] += g * (pred->value().data()[i] -
-                                     tgt->data()[i]);
+      pg[i] += g * (pred->value().data()[i] - tgt->data()[i]);
     }
   });
 }
@@ -677,19 +721,21 @@ VarPtr L1Loss(const VarPtr& pred, const Tensor& targets) {
   Tensor out(1, 1);
   out.at(0, 0) = static_cast<float>(loss / std::max<int64_t>(n, 1));
   auto tgt = std::make_shared<Tensor>(targets);
-  return MakeNode(std::move(out), {pred}, [pred, tgt, n](Var* node) {
+  return MakeNode(std::move(out), {pred}, [pred, tgt, n](Var* node,
+                                                         GradSink* sink) {
     if (!pred->requires_grad()) return;
     const float g = node->grad().at(0, 0) / static_cast<float>(n);
+    float* pg = pred->grad(sink).data();
     for (int64_t i = 0; i < n; ++i) {
       const float d = pred->value().data()[i] - tgt->data()[i];
-      pred->grad().data()[i] += g * (d > 0.0f ? 1.0f : (d < 0.0f ? -1.0f : 0.0f));
+      pg[i] += g * (d > 0.0f ? 1.0f : (d < 0.0f ? -1.0f : 0.0f));
     }
   });
 }
 
 }  // namespace ag
 
-void Backward(const VarPtr& root) {
+void Backward(const VarPtr& root, GradSink* sink) {
   RELGRAPH_CHECK(root->value().numel() == 1)
       << "Backward root must be scalar";
   // Topological order via iterative post-order DFS.
@@ -714,7 +760,7 @@ void Backward(const VarPtr& root) {
   }
   root->grad().Fill(1.0f);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    if ((*it)->backward_fn_) (*it)->backward_fn_();
+    if ((*it)->backward_fn_) (*it)->backward_fn_(sink);
   }
 }
 

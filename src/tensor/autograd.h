@@ -4,12 +4,15 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "core/rng.h"
 #include "tensor/tensor.h"
 
 namespace relgraph {
+
+class GradSink;
 
 /// A node in the dynamic reverse-mode autograd tape.
 ///
@@ -39,6 +42,11 @@ class Var {
 
   /// Gradient tensor; allocated (zero) on first access.
   Tensor& grad();
+
+  /// Where a backward pass into `sink` accumulates this node's gradient:
+  /// the sink's buffer for a leaf parameter, grad() for a tape node (and
+  /// for every node when `sink` is null).
+  Tensor& grad(GradSink* sink);
   bool has_grad() const { return !grad_.empty() || grad_init_; }
 
   /// Zeroes (and keeps) the gradient buffer.
@@ -47,15 +55,16 @@ class Var {
   int64_t rows() const { return value_.rows(); }
   int64_t cols() const { return value_.cols(); }
 
-  /// Wires this node into the tape (op constructors only).
+  /// Wires this node into the tape (op constructors only). The closure
+  /// scatters this node's gradient into its parents' grad(sink).
   void SetEdge(std::vector<std::shared_ptr<Var>> parents,
-               std::function<void()> backward_fn) {
+               std::function<void(GradSink*)> backward_fn) {
     parents_ = std::move(parents);
     backward_fn_ = std::move(backward_fn);
   }
 
  private:
-  friend void Backward(const std::shared_ptr<Var>& root);
+  friend void Backward(const std::shared_ptr<Var>& root, GradSink* sink);
 
   Tensor value_;
   Tensor grad_;
@@ -63,10 +72,28 @@ class Var {
   bool grad_init_ = false;
   bool requires_grad_;
   std::vector<std::shared_ptr<Var>> parents_;
-  std::function<void()> backward_fn_;
+  std::function<void(GradSink*)> backward_fn_;
 };
 
 using VarPtr = std::shared_ptr<Var>;
+
+/// Per-parameter gradient buffers that one backward pass accumulates into
+/// in place of the parameters' own grad(). Tape nodes belong to a single
+/// forward, but parameters are shared; with one sink per tape, several
+/// tapes over the same parameters can run backward at once, and the
+/// caller sums the sinks into grad() in an order of its choosing.
+class GradSink {
+ public:
+  /// The buffer for `param`, zero-filled on first access.
+  Tensor& For(const Var* param);
+
+  /// Adds each of `params`' buffers (if this sink has one) into its
+  /// grad().
+  void AddTo(const std::vector<VarPtr>& params) const;
+
+ private:
+  std::unordered_map<const Var*, Tensor> grads_;
+};
 
 namespace ag {
 
@@ -195,7 +222,9 @@ VarPtr L1Loss(const VarPtr& pred, const Tensor& targets);
 
 /// Runs reverse-mode accumulation from `root` (which must be 1×1) through
 /// the tape, filling `grad()` of every reachable Var that requires grad.
-void Backward(const VarPtr& root);
+/// With a `sink`, leaf parameters' gradients go to the sink instead and
+/// their grad() is left untouched (tape nodes still use their own).
+void Backward(const VarPtr& root, GradSink* sink = nullptr);
 
 }  // namespace relgraph
 

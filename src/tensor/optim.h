@@ -10,9 +10,14 @@ namespace relgraph {
 
 /// Base interface for gradient-descent optimizers over a fixed parameter
 /// list.
+///
+/// The parameters' elements form one flat index space (parameter order,
+/// then row-major), which the element-wise loops split into chunks of a
+/// fixed grain on the thread pool. Chunk boundaries depend only on the
+/// parameter shapes, so results are bit-identical at any thread count.
 class Optimizer {
  public:
-  explicit Optimizer(std::vector<VarPtr> params) : params_(std::move(params)) {}
+  explicit Optimizer(std::vector<VarPtr> params);
   virtual ~Optimizer() = default;
 
   /// Applies one update from the currently accumulated gradients.
@@ -21,13 +26,25 @@ class Optimizer {
   /// Clears gradients of all managed parameters.
   void ZeroGrad();
 
-  /// Clips gradients to a maximum global L2 norm; returns the pre-clip norm.
+  /// Clips gradients to a maximum global L2 norm; returns the pre-clip
+  /// norm. The squared norm sums per-chunk partials in chunk order.
   float ClipGradNorm(float max_norm);
 
   const std::vector<VarPtr>& params() const { return params_; }
 
  protected:
+  /// Runs fn(param_index, elem_begin, elem_end) over every parameter span
+  /// of the flat range [lo, hi), in parameter order.
+  template <typename Fn>
+  void ForEachSpan(int64_t lo, int64_t hi, const Fn& fn) const;
+
+  /// Elements per chunk of the flat index space.
+  static constexpr int64_t kFlatGrain = 8192;
+
   std::vector<VarPtr> params_;
+  /// offsets_[i] is the flat index of parameter i's first element;
+  /// offsets_.back() is the total element count.
+  std::vector<int64_t> offsets_;
 };
 
 /// Plain SGD with optional momentum and decoupled weight decay.

@@ -18,6 +18,29 @@
 
 namespace relgraph {
 
+namespace {
+
+/// Mini-batches are cut into this many seed groups (at full size).
+constexpr int64_t kGroupsPerBatch = 4;
+
+/// One seed group's share of a training step.
+struct GroupStep {
+  double loss = 0.0;  // the group's mean loss
+  GradSink grads;
+  /// The group's tape, held until every group of the step is done: the
+  /// step then keeps all its tapes alive at once at any overlap of the
+  /// groups, so its peak buffer demand (and the buffer pool's steady
+  /// state) does not depend on scheduling.
+  VarPtr tape;
+};
+
+}  // namespace
+
+int64_t TrainGroupSize(int64_t batch_size) {
+  return std::max<int64_t>(1, (batch_size + kGroupsPerBatch - 1) /
+                                  kGroupsPerBatch);
+}
+
 GnnNodePredictor::GnnNodePredictor(const HeteroGraph* graph,
                                    NodeTypeId entity_type, TaskKind kind,
                                    int64_t num_classes,
@@ -66,6 +89,45 @@ VarPtr GnnNodePredictor::ForwardSampled(const Subgraph& sg, Rng* rng,
   return scalar_head_->Forward(emb);
 }
 
+VarPtr GnnNodePredictor::TrainLoss(const VarPtr& out,
+                                   const TrainingTable& table,
+                                   const std::vector<int64_t>& rows) const {
+  const int64_t n = static_cast<int64_t>(rows.size());
+  switch (kind_) {
+    case TaskKind::kBinaryClassification: {
+      Tensor targets(n, 1);
+      for (int64_t i = 0; i < n; ++i) {
+        targets.at(i, 0) = static_cast<float>(
+            table.labels[static_cast<size_t>(rows[static_cast<size_t>(i)])]);
+      }
+      return ag::BinaryCrossEntropyWithLogits(out, targets);
+    }
+    case TaskKind::kMulticlassClassification: {
+      std::vector<int64_t> labels;
+      labels.reserve(rows.size());
+      for (int64_t r : rows) {
+        labels.push_back(
+            static_cast<int64_t>(table.labels[static_cast<size_t>(r)]));
+      }
+      return ag::SoftmaxCrossEntropy(out, labels);
+    }
+    case TaskKind::kRegression: {
+      Tensor targets(n, 1);
+      for (int64_t i = 0; i < n; ++i) {
+        targets.at(i, 0) = static_cast<float>(
+            (table.labels[static_cast<size_t>(rows[static_cast<size_t>(i)])] -
+             label_mean_) /
+            label_std_);
+      }
+      return ag::MseLoss(out, targets);
+    }
+    case TaskKind::kRanking:
+      break;
+  }
+  RELGRAPH_CHECK(false) << "ranking tasks train in GnnRecommender";
+  return nullptr;
+}
+
 std::vector<Tensor> GnnNodePredictor::SnapshotParams() const {
   const Module* head =
       cls_head_ ? static_cast<const Module*>(cls_head_.get())
@@ -84,7 +146,6 @@ Status GnnNodePredictor::Fit(const TrainingTable& table, const Split& split) {
   RELGRAPH_TRACE_SPAN("train/fit");
   Timer fit_timer;
   epoch_val_metrics_.clear();
-  prefetch_stalls_ = 0;
   checkpoint_writes_ = 0;
   if (split.train.empty()) {
     return Status::InvalidArgument("empty training split");
@@ -155,130 +216,101 @@ Status GnnNodePredictor::Fit(const TrainingTable& table, const Split& split) {
   FaultInjector& faults = FaultInjector::Global();
   epoch_losses_.clear();
 #ifndef RELGRAPH_NO_METRICS
-  // Resolved once per Fit: the per-batch paths below must stay at one
-  // pointer check each, and the observability switch must not flip
-  // mid-run.
-  const bool metrics_on = MetricsEnabled();
+  // Resolved once per Fit: the per-batch path below must stay at one
+  // pointer check, and the observability switch must not flip mid-run.
   Histogram* batch_ms_hist =
-      metrics_on ? MetricsRegistry::Global().GetHistogram(
-                       "fit_batch_ms", LatencyBucketsMs())
-                 : nullptr;
-#else
-  const bool metrics_on = false;
+      MetricsEnabled() ? MetricsRegistry::Global().GetHistogram(
+                             "fit_batch_ms", LatencyBucketsMs())
+                       : nullptr;
 #endif
-  (void)metrics_on;
+  const int64_t group_size = TrainGroupSize(trainer_config_.batch_size);
   for (int64_t epoch = start_epoch; epoch < trainer_config_.epochs; ++epoch) {
     RELGRAPH_TRACE_SPAN("train/epoch");
     // Shuffled mini-batches over the training split.
     auto batches = MakeBatches(static_cast<int64_t>(split.train.size()),
                                trainer_config_.batch_size, &rng_);
-    // Sampling draws from per-batch streams forked off one epoch seed, so
-    // batch k+1 can be sampled on the pool while batch k trains (which
-    // keeps drawing from rng_ on this thread) with a result that is
-    // independent of overlap and thread count. rng_ advances by exactly
-    // one draw here, keeping checkpoint/resume semantics intact.
+    // Every group of every batch samples (and drops out) from its own
+    // stream, Fork(batch).Fork(group) of one epoch stream, so the groups
+    // can run in any order on any thread with the same result. rng_
+    // advances by exactly one draw here, keeping checkpoint/resume
+    // semantics intact.
     Rng epoch_sample_rng = rng_.Split();
-    auto prepare = [&](size_t bk) {
-      SampledBatch prepared;
-      const auto& batch_pos = batches[bk];
-      prepared.batch.reserve(batch_pos.size());
-      std::vector<int64_t> seeds;
-      std::vector<Timestamp> seed_cutoffs;
-      seeds.reserve(batch_pos.size());
-      seed_cutoffs.reserve(batch_pos.size());
-      for (int64_t bp : batch_pos) {
-        const int64_t row = split.train[static_cast<size_t>(bp)];
-        prepared.batch.push_back(row);
-        seeds.push_back(table.entity_rows[static_cast<size_t>(row)]);
-        seed_cutoffs.push_back(table.cutoffs[static_cast<size_t>(row)]);
-      }
-      Rng sample_rng = epoch_sample_rng.Fork(static_cast<uint64_t>(bk));
-      prepared.sg =
-          sampler_.Sample(entity_type_, seeds, seed_cutoffs, &sample_rng);
-      return prepared;
-    };
     double epoch_loss = 0.0;
     bool diverged = false;
-    std::future<SampledBatch> pending;
     for (size_t bk = 0; bk < batches.size(); ++bk) {
-      SampledBatch cur;
-      if (bk == 0) {
-        cur = prepare(0);
-      } else {
-#ifndef RELGRAPH_NO_METRICS
-        // Non-blocking probe, taken only under the observability switch;
-        // the subsequent get() waits identically either way, so training
-        // results cannot depend on it.
-        if (metrics_on && pending.wait_for(std::chrono::seconds(0)) !=
-                              std::future_status::ready) {
-          ++prefetch_stalls_;
-          RELGRAPH_COUNTER_INC("fit_prefetch_stalls_total");
-        }
-#endif
-        cur = pending.get();
-      }
       Timer batch_timer;
-      if (bk + 1 < batches.size()) {
-        // One-batch-deep prefetch: sample the next batch on the pool
-        // while this one trains.
-        pending = Async([&prepare, bk] { return prepare(bk + 1); });
+      const std::vector<int64_t>& batch_pos = batches[bk];
+      const int64_t n = static_cast<int64_t>(batch_pos.size());
+      const int64_t num_groups = (n + group_size - 1) / group_size;
+      const Rng batch_rng = epoch_sample_rng.Fork(static_cast<uint64_t>(bk));
+      std::vector<GroupStep> groups(static_cast<size_t>(num_groups));
+      {
+        RELGRAPH_TRACE_SPAN("train/groups");
+        ThreadPool::Global().ParallelChunks(num_groups, [&](int64_t g) {
+          const int64_t lo = g * group_size;
+          const int64_t hi = std::min(n, lo + group_size);
+          std::vector<int64_t> rows;
+          std::vector<int64_t> seeds;
+          std::vector<Timestamp> cutoffs;
+          rows.reserve(static_cast<size_t>(hi - lo));
+          seeds.reserve(static_cast<size_t>(hi - lo));
+          cutoffs.reserve(static_cast<size_t>(hi - lo));
+          for (int64_t i = lo; i < hi; ++i) {
+            const int64_t row = split.train[static_cast<size_t>(
+                batch_pos[static_cast<size_t>(i)])];
+            rows.push_back(row);
+            seeds.push_back(table.entity_rows[static_cast<size_t>(row)]);
+            cutoffs.push_back(table.cutoffs[static_cast<size_t>(row)]);
+          }
+          Rng rng = batch_rng.Fork(static_cast<uint64_t>(g));
+          const Subgraph sg =
+              sampler_.Sample(entity_type_, seeds, cutoffs, &rng);
+          const VarPtr loss = TrainLoss(
+              ForwardSampled(sg, &rng, /*training=*/true), table, rows);
+          GroupStep& step = groups[static_cast<size_t>(g)];
+          step.loss = loss->value().item();
+          // Weighted by its share of the batch, the group's gradient sums
+          // with the others' to the batch-mean gradient.
+          step.tape = ag::Scale(
+              loss, static_cast<float>(hi - lo) / static_cast<float>(n));
+          Backward(step.tape, &step.grads);
+        });
       }
-      const std::vector<int64_t>& batch = cur.batch;
-      opt.ZeroGrad();
-      VarPtr out = ForwardSampled(cur.sg, &rng_, /*training=*/true);
-      VarPtr loss;
-      switch (kind_) {
-        case TaskKind::kBinaryClassification: {
-          Tensor targets(static_cast<int64_t>(batch.size()), 1);
-          for (size_t i = 0; i < batch.size(); ++i) {
-            targets.at(static_cast<int64_t>(i), 0) = static_cast<float>(
-                table.labels[static_cast<size_t>(batch[i])]);
-          }
-          loss = ag::BinaryCrossEntropyWithLogits(out, targets);
-          break;
-        }
-        case TaskKind::kMulticlassClassification: {
-          std::vector<int64_t> labels;
-          labels.reserve(batch.size());
-          for (int64_t i : batch) {
-            labels.push_back(static_cast<int64_t>(
-                table.labels[static_cast<size_t>(i)]));
-          }
-          loss = ag::SoftmaxCrossEntropy(out, labels);
-          break;
-        }
-        case TaskKind::kRegression: {
-          Tensor targets(static_cast<int64_t>(batch.size()), 1);
-          for (size_t i = 0; i < batch.size(); ++i) {
-            targets.at(static_cast<int64_t>(i), 0) = static_cast<float>(
-                (table.labels[static_cast<size_t>(batch[i])] - label_mean_) /
-                label_std_);
-          }
-          loss = ag::MseLoss(out, targets);
-          break;
-        }
-        case TaskKind::kRanking:
-          return Status::Internal("unreachable");
+      double batch_loss = 0.0;
+      for (int64_t g = 0; g < num_groups; ++g) {
+        const int64_t group_rows = std::min(group_size, n - g * group_size);
+        batch_loss += groups[static_cast<size_t>(g)].loss *
+                      static_cast<double>(group_rows);
       }
+      batch_loss /= static_cast<double>(n);
       if (faults.ShouldFire(FaultSite::kNanLoss)) {
-        loss->mutable_value().at(0, 0) =
-            std::numeric_limits<float>::quiet_NaN();
+        batch_loss = std::numeric_limits<double>::quiet_NaN();
       }
-      const double batch_loss = loss->value().item();
-      Backward(loss);
+      {
+        RELGRAPH_TRACE_SPAN("train/reduce");
+        opt.ZeroGrad();
+        for (const GroupStep& step : groups) step.grads.AddTo(params);
+        // The tapes and sinks go back to the buffer pool from the pool's
+        // threads, which spreads their buffers over its shards for the
+        // next step's groups.
+        ThreadPool::Global().ParallelChunks(num_groups, [&](int64_t g) {
+          groups[static_cast<size_t>(g)] = GroupStep();
+        });
+      }
       if (faults.ShouldFire(FaultSite::kNanGradient)) {
         params.front()->grad().data()[0] =
             std::numeric_limits<float>::quiet_NaN();
       }
-      const float grad_norm = opt.ClipGradNorm(trainer_config_.clip_norm);
-      // Divergence gate: never step through a non-finite loss or gradient,
-      // so the weights stay at their last finite values.
-      if (!std::isfinite(batch_loss) || !std::isfinite(grad_norm)) {
-        diverged = true;
-        break;
+      {
+        RELGRAPH_TRACE_SPAN("train/optim");
+        const float grad_norm = opt.ClipGradNorm(trainer_config_.clip_norm);
+        // Divergence gate: never step through a non-finite loss or
+        // gradient, so the weights stay at their last finite values.
+        diverged = !std::isfinite(batch_loss) || !std::isfinite(grad_norm);
+        if (!diverged) opt.Step();
       }
-      opt.Step();
-      epoch_loss += batch_loss * static_cast<double>(batch.size());
+      if (diverged) break;
+      epoch_loss += batch_loss * static_cast<double>(n);
       RELGRAPH_COUNTER_INC("fit_batches_total");
 #ifndef RELGRAPH_NO_METRICS
       if (batch_ms_hist != nullptr) {
@@ -286,10 +318,6 @@ Status GnnNodePredictor::Fit(const TrainingTable& table, const Split& split) {
       }
 #endif
     }
-    // Drain the pipeline: a subgraph prefetched for a batch we will not
-    // train (divergence rollback or early stop) is simply discarded —
-    // its RNG stream was independent, so nothing else shifts.
-    if (pending.valid()) pending.get();
     if (diverged) {
       ++divergence_episodes_;
       RELGRAPH_COUNTER_INC("fit_divergence_rollbacks_total");
@@ -321,7 +349,11 @@ Status GnnNodePredictor::Fit(const TrainingTable& table, const Split& split) {
     epoch_loss /= static_cast<double>(split.train.size());
     epoch_losses_.push_back(epoch_loss);
     RELGRAPH_COUNTER_INC("fit_epochs_total");
-    const double val_metric = Evaluate(table, val_idx);
+    double val_metric = 0.0;
+    {
+      RELGRAPH_TRACE_SPAN("train/eval");
+      val_metric = Evaluate(table, val_idx);
+    }
     epoch_val_metrics_.push_back(val_metric);
     if (trainer_config_.verbose) {
       RELGRAPH_LOG(Info) << "epoch " << epoch << " loss " << epoch_loss
@@ -388,8 +420,6 @@ std::string GnnNodePredictor::RunReportJson(double fit_seconds) const {
                    static_cast<long long>(resumed_from_epoch_));
   out += StrFormat("  \"divergence_episodes\": %lld,\n",
                    static_cast<long long>(divergence_episodes_));
-  out += StrFormat("  \"prefetch_stalls\": %lld,\n",
-                   static_cast<long long>(prefetch_stalls_));
   out += StrFormat("  \"checkpoint_writes\": %lld,\n",
                    static_cast<long long>(checkpoint_writes_));
   out += StrFormat("  \"best_val_metric\": %.17g,\n", best_val_metric_);

@@ -56,11 +56,23 @@ struct TrainerConfig {
   std::string run_report_path;
 };
 
+/// Seeds per training group for mini-batches of `batch_size`. Fit cuts
+/// each mini-batch into groups of this many seeds (the last may be short)
+/// that sample, forward and backward concurrently, each into its own
+/// gradient sink; the sinks are summed in group order. The size depends on
+/// the batch size alone, never on the thread count, so the loss curve is
+/// bit-identical at any thread count.
+int64_t TrainGroupSize(int64_t batch_size);
+
 /// End-to-end trainer for node-level predictive queries: heterogeneous
 /// GraphSAGE encoder + task head, mini-batched over temporally sampled
 /// subgraphs, optimized with AdamW and early stopping on the validation
 /// metric (ROC-AUC for binary, accuracy for multiclass, negative MAE for
 /// regression).
+///
+/// Training parallelism: each mini-batch step runs its seed groups (see
+/// TrainGroupSize) in one thread-pool region, then sums their gradients
+/// and takes one clipped AdamW step on the calling thread.
 class GnnNodePredictor {
  public:
   GnnNodePredictor(const HeteroGraph* graph, NodeTypeId entity_type,
@@ -107,10 +119,9 @@ class GnnNodePredictor {
     return epoch_val_metrics_;
   }
 
-  /// Times the last Fit call found the one-batch-deep prefetch not yet
-  /// done when training wanted it (0 when metrics are disabled: the probe
-  /// only runs under the observability switch).
-  int64_t prefetch_stalls() const { return prefetch_stalls_; }
+  /// Always 0: Fit samples each seed group inside its parallel region, so
+  /// there is no prefetch left to wait for. Kept for existing callers.
+  int64_t prefetch_stalls() const { return 0; }
 
   /// Checkpoints the last Fit call wrote.
   int64_t checkpoint_writes() const { return checkpoint_writes_; }
@@ -131,18 +142,15 @@ class GnnNodePredictor {
   Status LoadWeights(const std::string& path);
 
  private:
-  /// A mini-batch with its subgraph already sampled — the unit handed
-  /// from the prefetch pipeline to the training step.
-  struct SampledBatch {
-    std::vector<int64_t> batch;  // table row indices
-    Subgraph sg;
-  };
-
   VarPtr ForwardBatch(const TrainingTable& table,
                       const std::vector<int64_t>& indices, Rng* rng,
                       bool training);
   /// Head + encoder forward over an already-sampled subgraph.
   VarPtr ForwardSampled(const Subgraph& sg, Rng* rng, bool training);
+  /// The task loss of `out` against the labels of table rows `rows`
+  /// (the group's mean).
+  VarPtr TrainLoss(const VarPtr& out, const TrainingTable& table,
+                   const std::vector<int64_t>& rows) const;
   std::vector<Tensor> SnapshotParams() const;
   void RestoreParams(const std::vector<Tensor>& snapshot);
 
@@ -184,7 +192,6 @@ class GnnNodePredictor {
   int64_t resumed_from_epoch_ = -1;
   std::vector<double> epoch_losses_;
   std::vector<double> epoch_val_metrics_;
-  int64_t prefetch_stalls_ = 0;
   int64_t checkpoint_writes_ = 0;
   // Regression label standardization (fit on train split).
   double label_mean_ = 0.0;

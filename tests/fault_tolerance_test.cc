@@ -5,6 +5,8 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/atomic_io.h"
 #include "core/fault_injection.h"
@@ -413,6 +415,43 @@ TEST_F(DivergenceTest, NanGradientRollsBack) {
   // The final parameters must be finite everywhere.
   for (double s : p.PredictScores(w.table, SmallSplit().test)) {
     EXPECT_TRUE(std::isfinite(s));
+  }
+}
+
+TEST_F(DivergenceTest, GroupedStepRollbackIsExactWhereverTheFaultFires) {
+  // 200 train rows at batch 128: two batches per epoch, cut into four and
+  // three seed groups (TrainGroupSize(128) = 32) that backward into their
+  // own sinks. The fault sites fire on the summed loss and gradient, once
+  // per batch, and a rollback restores the epoch boundary whole: faulting
+  // either batch of epoch 1, through either site, must leave the same run.
+  ASSERT_EQ(TrainGroupSize(128), 32);
+  OneHopWorld w = MakeOneHopWorld(300, 40, 119);
+  NodeTypeId a = w.graph.FindNodeType("a").value();
+  TrainerConfig tc = SmallTrainerConfig();
+  tc.epochs = 4;
+  std::vector<double> want;
+  for (FaultSite site : {FaultSite::kNanLoss, FaultSite::kNanGradient}) {
+    for (int64_t skip : {2, 3}) {  // epoch 1's first or second batch
+      FaultInjector::Global().Reset();
+      FaultInjector::Global().Arm(site, skip, /*times=*/1);
+      GnnNodePredictor p(&w.graph, a, TaskKind::kBinaryClassification, 2,
+                         SmallGnnConfig(), SmallSamplerOptions(), tc);
+      ASSERT_TRUE(p.Fit(w.table, SmallSplit()).ok());
+      const std::string label = std::string(FaultSiteName(site)) +
+                                " at batch " + std::to_string(skip);
+      EXPECT_EQ(p.divergence_episodes(), 1) << label;
+      EXPECT_EQ(FaultInjector::Global().fired(site), 1) << label;
+      // One check per batch, never per group: 4 epochs x 2 batches, plus
+      // the batches of the rolled-back attempt.
+      EXPECT_EQ(FaultInjector::Global().hits(site), 8 + (skip - 2) + 1)
+          << label;
+      ASSERT_EQ(p.epoch_losses().size(), 4u) << label;
+      if (want.empty()) {
+        want = p.epoch_losses();
+      } else {
+        EXPECT_EQ(p.epoch_losses(), want) << label;
+      }
+    }
   }
 }
 

@@ -85,6 +85,24 @@ TEST(MetricsTest, CounterMacroRegistersAndCounts) {
   EXPECT_EQ(c->value(), 15);
 }
 
+TEST(MetricsTest, CounterMacroArgumentRunsOnceWithMetricsOnAndOff) {
+  // The argument is evaluated exactly once whatever the switch says, so a
+  // call with a side effect inside the macro behaves the same in
+  // instrumented and uninstrumented processes.
+  SetMetricsEnabled(true);
+  Counter* c = MetricsRegistry::Global().GetCounter("test_side_effect_total");
+  c->ResetForTesting();
+  int calls = 0;
+  auto bump = [&calls] { return ++calls; };
+  RELGRAPH_COUNTER_ADD("test_side_effect_total", bump());
+  EXPECT_EQ(calls, 1);
+  SetMetricsEnabled(false);
+  RELGRAPH_COUNTER_ADD("test_side_effect_total", bump());
+  SetMetricsEnabled(true);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(c->value(), 1);  // only the enabled call counted
+}
+
 TEST(MetricsTest, DisabledSwitchSuppressesMacroAndSpans) {
   SetMetricsEnabled(true);
   Counter* c = MetricsRegistry::Global().GetCounter("test_disabled_total");

@@ -14,6 +14,7 @@
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "sampler/neighbor_sampler.h"
+#include "tensor/optim.h"
 #include "tensor/tensor.h"
 #include "train/trainer.h"
 
@@ -490,11 +491,13 @@ TEST_F(TrainerParityTest, FitIsBitIdenticalAcrossThreadCounts) {
   const Split split = SmallSplit();
 
   // Default batch_size 128 over 200 train rows → batches of 128 and 72,
-  // both above parallel_chunk_seeds → the multi-chunk sampler, parallel
-  // GEMMs, and the prefetch pipeline are all on the training path.
+  // cut into seed groups of TrainGroupSize(128) = 32: four and three
+  // groups that sample, forward and backward at once, each into its own
+  // gradient sink, summed in group order.
+  ASSERT_EQ(TrainGroupSize(128), 32);
   std::vector<double> want_losses;
   std::vector<double> want_scores;
-  for (int t : {1, 2, 8}) {
+  for (int t : {1, 2, 4, 8}) {
     ThreadPool::SetNumThreadsForTesting(t);
     GnnNodePredictor p(&w.graph, a, TaskKind::kBinaryClassification, 2,
                        SmallGnnConfig(), SmallSamplerOptions(),
@@ -531,38 +534,88 @@ TEST_F(TrainerParityTest, CheckpointWrittenParallelResumesBitExactSerial) {
   const std::vector<double> want_scores =
       uninterrupted.PredictScores(w.table, split.test);
 
-  // "Killed" run under 8 threads: dies after epoch 3, leaving only the
-  // checkpoint behind.
-  ThreadPool::SetNumThreadsForTesting(8);
-  TrainerConfig tc_killed = SmallTrainerConfig();
-  tc_killed.epochs = 3;
-  tc_killed.checkpoint_path = ckpt;
-  {
-    GnnNodePredictor killed(&w.graph, a, TaskKind::kBinaryClassification, 2,
-                            SmallGnnConfig(), SmallSamplerOptions(),
-                            tc_killed);
-    ASSERT_TRUE(killed.Fit(w.table, split).ok());
-  }
-  ASSERT_TRUE(FileExists(ckpt));
+  for (int t : {2, 4, 8}) {
+    // "Killed" run under t threads: dies after epoch 3, leaving only the
+    // checkpoint behind.
+    std::remove(ckpt.c_str());
+    ThreadPool::SetNumThreadsForTesting(t);
+    TrainerConfig tc_killed = SmallTrainerConfig();
+    tc_killed.epochs = 3;
+    tc_killed.checkpoint_path = ckpt;
+    {
+      GnnNodePredictor killed(&w.graph, a, TaskKind::kBinaryClassification,
+                              2, SmallGnnConfig(), SmallSamplerOptions(),
+                              tc_killed);
+      ASSERT_TRUE(killed.Fit(w.table, split).ok());
+    }
+    ASSERT_TRUE(FileExists(ckpt));
 
-  // Resume under a single thread; the run must land exactly where the
-  // uninterrupted serial run did.
-  ThreadPool::SetNumThreadsForTesting(1);
-  TrainerConfig tc_resume = SmallTrainerConfig();
-  tc_resume.checkpoint_path = ckpt;
-  tc_resume.resume = true;
-  GnnNodePredictor resumed(&w.graph, a, TaskKind::kBinaryClassification, 2,
-                           SmallGnnConfig(), SmallSamplerOptions(),
-                           tc_resume);
-  ASSERT_TRUE(resumed.Fit(w.table, split).ok());
-  EXPECT_EQ(resumed.resumed_from_epoch(), 3);
-  const std::vector<double>& got_losses = resumed.epoch_losses();
-  ASSERT_EQ(got_losses.size(), 3u);  // epochs 3..5 ran after the resume
-  for (size_t e = 0; e < got_losses.size(); ++e) {
-    EXPECT_EQ(got_losses[e], want_losses[e + 3]) << "epoch " << e + 3;
+    // Resume under a single thread; the run must land exactly where the
+    // uninterrupted serial run did.
+    ThreadPool::SetNumThreadsForTesting(1);
+    TrainerConfig tc_resume = SmallTrainerConfig();
+    tc_resume.checkpoint_path = ckpt;
+    tc_resume.resume = true;
+    GnnNodePredictor resumed(&w.graph, a, TaskKind::kBinaryClassification,
+                             2, SmallGnnConfig(), SmallSamplerOptions(),
+                             tc_resume);
+    ASSERT_TRUE(resumed.Fit(w.table, split).ok());
+    EXPECT_EQ(resumed.resumed_from_epoch(), 3);
+    const std::vector<double>& got_losses = resumed.epoch_losses();
+    ASSERT_EQ(got_losses.size(), 3u);  // epochs 3..5 ran after the resume
+    for (size_t e = 0; e < got_losses.size(); ++e) {
+      EXPECT_EQ(got_losses[e], want_losses[e + 3])
+          << "epoch " << e + 3 << ", killed at threads=" << t;
+    }
+    EXPECT_EQ(resumed.PredictScores(w.table, split.test), want_scores)
+        << "killed at threads=" << t;
   }
-  EXPECT_EQ(resumed.PredictScores(w.table, split.test), want_scores);
   std::remove(ckpt.c_str());
+}
+
+// --------------------------------------------------- optimizer parity
+
+TEST_F(ParallelTest, AdamAndClipBitIdenticalAcrossThreadCounts) {
+  // Three parameters over 3 * 9000 elements: the flat index space spans
+  // several optimizer chunks, and chunk boundaries fall inside tensors.
+  auto run = [] {
+    std::vector<VarPtr> params;
+    for (uint64_t i = 0; i < 3; ++i) {
+      Rng rng(80 + i);
+      Tensor w(90, 100);
+      Tensor g(90, 100);
+      for (int64_t j = 0; j < w.numel(); ++j) {
+        w.data()[j] = static_cast<float>(rng.Normal(0, 1));
+        g.data()[j] = static_cast<float>(rng.Normal(0, 1));
+      }
+      params.push_back(ag::Param(w));
+      params.back()->grad() = g;
+    }
+    Adam opt(params, 0.01f, 0.9f, 0.999f, 1e-8f, 1e-4f);
+    std::vector<float> norms;
+    for (int step = 0; step < 3; ++step) {
+      norms.push_back(opt.ClipGradNorm(5.0f));
+      opt.Step();
+    }
+    std::vector<Tensor> out;
+    for (const VarPtr& p : params) out.push_back(p->value());
+    for (const VarPtr& p : params) out.push_back(p->grad());
+    return std::make_pair(norms, out);
+  };
+  ThreadPool::SetNumThreadsForTesting(1);
+  const auto want = run();
+  for (int t : {2, 4, 8}) {
+    ThreadPool::SetNumThreadsForTesting(t);
+    const auto got = run();
+    EXPECT_EQ(got.first, want.first) << "threads=" << t;
+    for (size_t i = 0; i < want.second.size(); ++i) {
+      EXPECT_EQ(std::memcmp(got.second[i].data(), want.second[i].data(),
+                            static_cast<size_t>(want.second[i].numel()) *
+                                sizeof(float)),
+                0)
+          << "tensor " << i << ", threads=" << t;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "tensor/autograd.h"
 #include "tensor/init.h"
@@ -313,6 +314,98 @@ TEST(AutogradTest, GradAccumulatesAcrossSharedUse) {
   auto loss = ag::Sum(ag::Add(x, x));
   Backward(loss);
   for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(x->grad().data()[i], 2.0f);
+}
+
+// ------------------------------------------------------- gradient sinks
+
+/// Trainable leaves of SinkTape, with fixed seeded values.
+std::vector<VarPtr> SinkParams() {
+  return {ag::Param(RandT(4, 3, 60)), ag::Param(RandT(1, 3, 61)),
+          ag::Param(RandT(1, 3, 62)), ag::Param(RandT(1, 3, 63)),
+          ag::Param(RandT(3, 1, 64)), ag::Param(RandT(5, 3, 65))};
+}
+
+/// A scalar loss over `p` and input `x` (5x4) that routes gradients into
+/// the parameters through every closure shape: GEMM, broadcast, layer
+/// norm, row/column products, gathers, segment ops and a loss.
+VarPtr SinkTape(const std::vector<VarPtr>& p, const Tensor& x) {
+  VarPtr in = ag::Constant(x);
+  VarPtr h = ag::Tanh(ag::AddBias(ag::MatMul(in, p[0]), p[1]));
+  h = ag::LayerNorm(h, p[2], p[3]);
+  h = ag::Add(ag::Mul(h, p[5]), ag::Div(p[5], ag::Exp(h)));
+  VarPtr col = ag::Sigmoid(ag::MatMul(h, p[4]));
+  h = ag::MulColBroadcast(ag::Relu(h), col);
+  VarPtr dots = ag::RowwiseDot(h, ag::GatherRows(p[5], {4, 3, 2, 1, 0}));
+  VarPtr att = ag::SegmentSoftmax(dots, {0, 0, 1, 1, 1}, 2);
+  VarPtr pooled = ag::SegmentMean(ag::MulColBroadcast(h, att),
+                                  {0, 0, 1, 1, 1}, 2);
+  Tensor targets(2, 1, {1.0f, 0.0f});
+  return ag::Add(ag::BinaryCrossEntropyWithLogits(
+                     ag::MatMul(pooled, p[4]), targets),
+                 ag::Scale(ag::Mean(ag::SliceRows(p[5], 1, 2)), 0.5f));
+}
+
+void ExpectSameBits(const Tensor& got, const Tensor& want) {
+  ASSERT_TRUE(got.SameShape(want));
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(want.numel()) * sizeof(float)),
+            0);
+}
+
+TEST(AutogradTest, BackwardIntoSinkMatchesDefaultAndLeavesGradUntouched) {
+  const Tensor x = RandT(5, 4, 66);
+  const std::vector<VarPtr> by_default = SinkParams();
+  Backward(SinkTape(by_default, x));
+
+  const std::vector<VarPtr> by_sink = SinkParams();
+  GradSink sink;
+  Backward(SinkTape(by_sink, x), &sink);
+  for (size_t i = 0; i < by_sink.size(); ++i) {
+    EXPECT_FALSE(by_sink[i]->has_grad()) << "param " << i;
+    ExpectSameBits(sink.For(by_sink[i].get()), by_default[i]->grad());
+  }
+
+  // AddTo hands the sink's buffers to the parameters' own gradients.
+  sink.AddTo(by_sink);
+  for (size_t i = 0; i < by_sink.size(); ++i) {
+    ExpectSameBits(by_sink[i]->grad(), by_default[i]->grad());
+  }
+}
+
+TEST(AutogradTest, ConcurrentTapesBackwardIntoSeparateSinks) {
+  const int threads_before = NumThreads();
+  ThreadPool::SetNumThreadsForTesting(4);
+  const std::vector<VarPtr> params = SinkParams();
+  constexpr int kTapes = 8;
+  std::vector<Tensor> inputs;
+  for (int t = 0; t < kTapes; ++t) inputs.push_back(RandT(5, 4, 70 + t));
+
+  // Reference: each tape alone, through the default sink.
+  std::vector<std::vector<Tensor>> want(kTapes);
+  for (int t = 0; t < kTapes; ++t) {
+    for (const VarPtr& p : params) p->ZeroGrad();
+    Backward(SinkTape(params, inputs[static_cast<size_t>(t)]));
+    for (const VarPtr& p : params) {
+      want[static_cast<size_t>(t)].push_back(p->grad());
+    }
+  }
+  for (const VarPtr& p : params) p->ZeroGrad();
+
+  std::vector<GradSink> sinks(kTapes);
+  ThreadPool::Global().ParallelChunks(kTapes, [&](int64_t t) {
+    Backward(SinkTape(params, inputs[static_cast<size_t>(t)]),
+             &sinks[static_cast<size_t>(t)]);
+  });
+  for (int t = 0; t < kTapes; ++t) {
+    for (size_t i = 0; i < params.size(); ++i) {
+      ExpectSameBits(sinks[static_cast<size_t>(t)].For(params[i].get()),
+                     want[static_cast<size_t>(t)][i]);
+    }
+  }
+  for (const VarPtr& p : params) {
+    EXPECT_EQ(p->grad().AbsMax(), 0.0f) << "a sink run wrote grad()";
+  }
+  ThreadPool::SetNumThreadsForTesting(threads_before);
 }
 
 TEST(AutogradTest, ConstantsGetNoGrad) {
