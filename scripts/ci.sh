@@ -76,16 +76,17 @@ case "$MODE" in
     ;;
   tsan)
     # The concurrency surface: thread-pool runtime, metrics/trace layer,
-    # parallel GEMM, trainer seed groups and gradient sinks, serving
-    # engine, read-only PK lookups. The gtest binaries run whole (ctest
-    # names tests by suite, not binary, so -R cannot select them); any
-    # TSan report is fatal.
+    # parallel GEMM, trainer seed groups and gradient sinks, per-thread
+    # sampler scratch, serving engine, read-only PK lookups. The gtest
+    # binaries run whole (ctest names tests by suite, not binary, so -R
+    # cannot select them); any TSan report is fatal.
     cmake --preset tsan >/dev/null
     cmake --build --preset tsan -j "$JOBS"
     for t in parallel_test observability_test tensor_test train_test \
-             serve_test serve_resilience_test serve_coalesce_test \
-             arena_test incremental_graph_test streaming_serve_test \
-             columnar_agg_test gbdt_test quant_test relational_test; do
+             sampler_test serve_test serve_resilience_test \
+             serve_coalesce_test arena_test incremental_graph_test \
+             streaming_serve_test columnar_agg_test gbdt_test quant_test \
+             relational_test; do
       TSAN_OPTIONS="halt_on_error=1" "build-tsan/tests/$t"
     done
     ;;

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <mutex>
 #include <thread>
 
@@ -65,7 +64,6 @@ struct ThreadPool::Impl {
   std::mutex mu;
   std::condition_variable cv;
   std::shared_ptr<Job> job;  // active region, if any
-  std::deque<std::function<void()>> tasks;
   bool stop = false;
   std::vector<std::thread> workers;
   /// Held by the caller whose region owns the workers. A caller that finds
@@ -109,20 +107,12 @@ ThreadPool::ThreadPool(int num_threads)
       std::unique_lock<std::mutex> lk(impl->mu);
       for (;;) {
         impl->cv.wait(lk, [impl] {
-          return impl->stop || !impl->tasks.empty() ||
+          return impl->stop ||
                  (impl->job != nullptr &&
                   impl->job->next.load(std::memory_order_relaxed) <
                       impl->job->num_chunks);
         });
         if (impl->stop) return;
-        if (!impl->tasks.empty()) {
-          std::function<void()> task = std::move(impl->tasks.front());
-          impl->tasks.pop_front();
-          lk.unlock();
-          task();
-          lk.lock();
-          continue;
-        }
         std::shared_ptr<Job> job = impl->job;
         lk.unlock();
         FinishChunks(job, RunChunks(job.get()));
@@ -141,9 +131,9 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : impl_->workers) t.join();
 }
 
-void ThreadPool::ParallelChunks(int64_t num_chunks,
+bool ThreadPool::ParallelChunks(int64_t num_chunks,
                                 const std::function<void(int64_t)>& fn) {
-  if (num_chunks <= 0) return;
+  if (num_chunks <= 0) return false;
   std::unique_lock<std::mutex> region(impl_->region_mu, std::defer_lock);
   if (num_chunks == 1 || tls_inline_parallel || impl_->workers.empty() ||
       !region.try_lock()) {
@@ -152,7 +142,7 @@ void ThreadPool::ParallelChunks(int64_t num_chunks,
     // are the ones the pool would have produced.
     InlineScope scope;
     for (int64_t c = 0; c < num_chunks; ++c) fn(c);
-    return;
+    return false;
   }
   auto job = std::make_shared<Job>();
   job->fn = fn;
@@ -177,18 +167,7 @@ void ThreadPool::ParallelChunks(int64_t num_chunks,
     std::lock_guard<std::mutex> lk(impl_->mu);
     if (impl_->job == job) impl_->job = nullptr;
   }
-}
-
-void ThreadPool::Submit(std::function<void()> fn) {
-  if (tls_inline_parallel || impl_->workers.empty()) {
-    fn();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    impl_->tasks.push_back(std::move(fn));
-  }
-  impl_->cv.notify_one();
+  return true;
 }
 
 namespace {
@@ -225,17 +204,17 @@ void ThreadPool::SetNumThreadsForTesting(int n) {
 
 int NumThreads() { return ThreadPool::Global().num_threads(); }
 
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
+bool ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& body) {
-  if (end <= begin) return;
+  if (end <= begin) return false;
   if (grain < 1) grain = 1;
   const int64_t n = end - begin;
   const int64_t num_chunks = (n + grain - 1) / grain;
   if (num_chunks == 1) {
     body(begin, end);
-    return;
+    return false;
   }
-  ThreadPool::Global().ParallelChunks(num_chunks, [&](int64_t c) {
+  return ThreadPool::Global().ParallelChunks(num_chunks, [&](int64_t c) {
     const int64_t lo = begin + c * grain;
     const int64_t hi = lo + grain < end ? lo + grain : end;
     body(lo, hi);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -37,13 +36,10 @@ class ThreadPool {
   /// there is a single chunk, when the pool is serial, when the caller is
   /// a worker or already inside a region's chunk, or when another caller's
   /// region holds the workers. Inline chunks never wait for the pool, and
-  /// any region they open runs inline too.
-  void ParallelChunks(int64_t num_chunks,
+  /// any region they open runs inline too. Returns true when the chunks
+  /// were offered to the workers, false when they ran inline.
+  bool ParallelChunks(int64_t num_chunks,
                       const std::function<void(int64_t)>& fn);
-
-  /// Enqueues a standalone task. With no workers (serial mode) or when
-  /// called from a worker, the task runs inline before returning.
-  void Submit(std::function<void()> fn);
 
   /// Test-only: stops the pool and restarts it with `n` threads (n >= 1),
   /// overriding RELGRAPH_NUM_THREADS. Must not be called while parallel
@@ -69,8 +65,9 @@ int NumThreads();
 /// may be short) and runs body(chunk_begin, chunk_end) for each chunk on
 /// the global pool. Chunks must be independent: each writes disjoint
 /// outputs, so results are identical at any thread count. Runs inline when
-/// the range fits a single chunk or the pool is serial.
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
+/// the range fits a single chunk or ParallelChunks would; returns true when
+/// the chunks were offered to the pool's workers.
+bool ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& body);
 
 /// Deterministic chunked reduction. The range is split into chunks of
@@ -98,20 +95,6 @@ T ParallelReduce(int64_t begin, int64_t end, int64_t grain, T init,
   T acc = init;
   for (const T& p : partials) acc = combine(acc, p);
   return acc;
-}
-
-/// Runs `fn` asynchronously on the global pool and returns its future.
-/// In serial mode the call degenerates to immediate inline execution, so
-/// callers get identical results (the deterministic RNG streams make the
-/// outcome independent of *when* the task actually runs).
-template <typename F>
-auto Async(F&& fn) -> std::future<decltype(fn())> {
-  using R = decltype(fn());
-  auto task =
-      std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-  std::future<R> fut = task->get_future();
-  ThreadPool::Global().Submit([task] { (*task)(); });
-  return fut;
 }
 
 }  // namespace relgraph

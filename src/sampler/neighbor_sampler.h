@@ -93,19 +93,16 @@ class NeighborSampler {
 
  private:
   /// The serial sampling kernel: one chunk of seeds, one RNG stream.
-  /// When `deadline` is non-null it is checked before each hop; on expiry
-  /// `*deadline_expired` is set and the (incomplete) subgraph returned —
-  /// callers must discard it.
+  /// Frontier dedup runs on a flat open-addressing table in a per-thread
+  /// scratch that is reused across calls, so a warm thread allocates only
+  /// the returned subgraph. When `deadline` is non-null it is checked
+  /// before each hop; on expiry `*deadline_expired` is set and the
+  /// (incomplete) subgraph returned — callers must discard it.
   Subgraph SampleChunk(NodeTypeId seed_type,
                        const std::vector<int64_t>& seeds,
                        const std::vector<Timestamp>& cutoffs, Rng* rng,
                        const Deadline* deadline = nullptr,
                        bool* deadline_expired = nullptr) const;
-
-  /// Merges independently sampled chunk subgraphs in chunk order:
-  /// frontiers concatenate with cross-chunk (node, cutoff) dedup, block
-  /// indices are remapped into the merged local numbering.
-  Subgraph MergeChunks(const std::vector<Subgraph>& parts) const;
 
   const HeteroGraph* graph_;
   SamplerOptions options_;

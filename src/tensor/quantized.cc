@@ -8,16 +8,13 @@
 #include "core/metrics.h"
 #include "core/parallel.h"
 #include "core/string_util.h"
+#include "tensor/gemm_dispatch.h"
 #include "tensor/simd_kernels.h"
 
 namespace relgraph {
 
 namespace {
 
-// Mirrors the MatMul dispatch knobs in tensor.cc: same serial threshold,
-// same row grain, so the low-precision GEMMs route exactly like fp32.
-constexpr int64_t kGemmSerialFlops = 1 << 15;
-constexpr int64_t kGemmRowGrain = 8;
 constexpr int64_t kQuantRowGrain = 64;
 
 /// First non-finite element of `t`, or ok. The error names the exact
@@ -239,18 +236,7 @@ Tensor MatMulInt8(const Tensor& a, const PackedInt8Matrix& b) {
                                  b.packed.data(), b.scales.data(), O, i0,
                                  i1, k, n);
   };
-  const bool parallel = m * n * k >= kGemmSerialFlops;
-  if (parallel) {
-    RELGRAPH_COUNTER_INC("gemm_parallel_total");
-  } else {
-    RELGRAPH_COUNTER_INC("gemm_serial_total");
-  }
-  RELGRAPH_COUNTER_ADD("gemm_flops_total", 2 * m * n * k);
-  if (!parallel) {
-    row_chunk(0, m);
-  } else {
-    ParallelFor(0, m, kGemmRowGrain, row_chunk);
-  }
+  RunGemmRows(m, n, k, row_chunk);
   return out;
 }
 
@@ -266,18 +252,7 @@ Tensor MatMulBf16(const Tensor& a, const Bf16Matrix& b) {
   auto row_chunk = [&](int64_t i0, int64_t i1) {
     kern::Bf16GemmRowChunk(A, B16, O, i0, i1, k, n);
   };
-  const bool parallel = m * n * k >= kGemmSerialFlops;
-  if (parallel) {
-    RELGRAPH_COUNTER_INC("gemm_parallel_total");
-  } else {
-    RELGRAPH_COUNTER_INC("gemm_serial_total");
-  }
-  RELGRAPH_COUNTER_ADD("gemm_flops_total", 2 * m * n * k);
-  if (!parallel) {
-    row_chunk(0, m);
-  } else {
-    ParallelFor(0, m, kGemmRowGrain, row_chunk);
-  }
+  RunGemmRows(m, n, k, row_chunk);
   return out;
 }
 

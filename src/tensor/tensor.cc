@@ -8,31 +8,30 @@
 #include "core/metrics.h"
 #include "core/parallel.h"
 #include "core/string_util.h"
+#include "tensor/gemm_dispatch.h"
 #include "tensor/simd_kernels.h"
 
 namespace relgraph {
 
 namespace {
 
-// Tensors below these sizes run serially: pool synchronization would
+// Tensors below this size run serially: pool synchronization would
 // dominate on the small matrices that make up most autograd glue. The
-// thresholds only route between code paths that produce identical bits,
-// so they are pure scheduling knobs.
-constexpr int64_t kGemmSerialFlops = 1 << 15;
+// threshold only routes between code paths that produce identical bits,
+// so it is a pure scheduling knob (the GEMM knobs are in gemm_dispatch.h).
 constexpr int64_t kElemSerial = 1 << 15;
 
-// Parallel grains. GEMMs split over output rows; elementwise ops split
-// over the flat buffer. Reductions use kReduceGrain as their fixed chunk
-// size — part of the numeric contract, never a function of thread count.
-constexpr int64_t kGemmRowGrain = 8;
+// Parallel grains. Elementwise ops split over the flat buffer. Reductions
+// use kReduceGrain as their fixed chunk size — part of the numeric
+// contract, never a function of thread count.
 constexpr int64_t kElemGrain = 1 << 14;
 constexpr int64_t kReduceGrain = 1 << 15;
 
-// Counts a GEMM dispatch: which route it took and the FLOPs it performed.
+}  // namespace
+
 // Cached pointers keep the enabled path at two relaxed adds; the disabled
 // path is a single relaxed load.
-inline void NoteGemmDispatch(int64_t m, int64_t n, int64_t k,
-                             bool parallel) {
+void NoteGemmDispatch(int64_t m, int64_t n, int64_t k, bool pooled) {
 #ifndef RELGRAPH_NO_METRICS
   if (!MetricsEnabled()) return;
   static Counter* serial_total =
@@ -41,17 +40,15 @@ inline void NoteGemmDispatch(int64_t m, int64_t n, int64_t k,
       MetricsRegistry::Global().GetCounter("gemm_parallel_total");
   static Counter* flops_total =
       MetricsRegistry::Global().GetCounter("gemm_flops_total");
-  (parallel ? parallel_total : serial_total)->Add(1);
+  (pooled ? parallel_total : serial_total)->Add(1);
   flops_total->Add(2 * m * n * k);
 #else
   (void)m;
   (void)n;
   (void)k;
-  (void)parallel;
+  (void)pooled;
 #endif
 }
-
-}  // namespace
 
 Tensor::Tensor(int64_t rows, int64_t cols) : rows_(rows), cols_(cols) {
   RELGRAPH_CHECK(rows >= 0 && cols >= 0);
@@ -320,13 +317,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   auto row_chunk = [&](int64_t i0, int64_t i1) {
     kern::GemmRowChunk(A, B, O, i0, i1, k, n);
   };
-  const bool parallel = m * n * k >= kGemmSerialFlops;
-  NoteGemmDispatch(m, n, k, parallel);
-  if (!parallel) {
-    row_chunk(0, m);
-  } else {
-    ParallelFor(0, m, kGemmRowGrain, row_chunk);
-  }
+  RunGemmRows(m, n, k, row_chunk);
   return out;
 }
 
@@ -358,13 +349,7 @@ Tensor MatMulPacked(const Tensor& a, const PackedMatrix& b) {
   auto row_chunk = [&](int64_t i0, int64_t i1) {
     kern::GemmPackedRowChunk(A, P, O, i0, i1, k, n);
   };
-  const bool parallel = m * n * k >= kGemmSerialFlops;
-  NoteGemmDispatch(m, n, k, parallel);
-  if (!parallel) {
-    row_chunk(0, m);
-  } else {
-    ParallelFor(0, m, kGemmRowGrain, row_chunk);
-  }
+  RunGemmRows(m, n, k, row_chunk);
   return out;
 }
 
@@ -380,13 +365,7 @@ Tensor MatMulBT(const Tensor& a, const Tensor& b) {
   auto row_chunk = [&](int64_t i0, int64_t i1) {
     kern::GemmBTRowChunk(A, B, O, i0, i1, k, n);
   };
-  const bool parallel = m * n * k >= kGemmSerialFlops;
-  NoteGemmDispatch(m, n, k, parallel);
-  if (!parallel) {
-    row_chunk(0, m);
-  } else {
-    ParallelFor(0, m, kGemmRowGrain, row_chunk);
-  }
+  RunGemmRows(m, n, k, row_chunk);
   return out;
 }
 
@@ -402,13 +381,7 @@ Tensor MatMulAT(const Tensor& a, const Tensor& b) {
   auto row_chunk = [&](int64_t i0, int64_t i1) {
     kern::GemmATRowChunk(A, B, O, i0, i1, m, k, n);
   };
-  const bool parallel = m * n * k >= kGemmSerialFlops;
-  NoteGemmDispatch(m, n, k, parallel);
-  if (!parallel) {
-    row_chunk(0, m);
-  } else {
-    ParallelFor(0, m, kGemmRowGrain, row_chunk);
-  }
+  RunGemmRows(m, n, k, row_chunk);
   return out;
 }
 

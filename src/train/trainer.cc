@@ -68,20 +68,6 @@ GnnNodePredictor::GnnNodePredictor(const HeteroGraph* graph,
   }
 }
 
-VarPtr GnnNodePredictor::ForwardBatch(const TrainingTable& table,
-                                      const std::vector<int64_t>& indices,
-                                      Rng* rng, bool training) {
-  std::vector<int64_t> seeds;
-  std::vector<Timestamp> cutoffs;
-  seeds.reserve(indices.size());
-  for (int64_t i : indices) {
-    seeds.push_back(table.entity_rows[static_cast<size_t>(i)]);
-    cutoffs.push_back(table.cutoffs[static_cast<size_t>(i)]);
-  }
-  Subgraph sg = sampler_.Sample(entity_type_, seeds, cutoffs, rng);
-  return ForwardSampled(sg, rng, training);
-}
-
 VarPtr GnnNodePredictor::ForwardSampled(const Subgraph& sg, Rng* rng,
                                         bool training) {
   VarPtr emb = model_->Forward(sg, entity_type_, rng, training);
@@ -531,46 +517,57 @@ Status GnnNodePredictor::LoadTrainCheckpoint(const std::string& path,
 std::vector<double> GnnNodePredictor::PredictScores(
     const TrainingTable& table, const std::vector<int64_t>& indices) {
   RELGRAPH_TRACE_SPAN("train/predict");
-  RELGRAPH_COUNTER_ADD("predict_examples_total",
-                       static_cast<int64_t>(indices.size()));
-  std::vector<double> scores;
-  scores.reserve(indices.size());
-  // Deterministic inference: unshuffled batches, no dropout, and sampling
-  // from a fixed stream derived from the trainer seed — predictions never
-  // depend on how far the training RNG has advanced.
-  Rng eval_rng(trainer_config_.seed ^ 0xE7037ED1A0B428DBULL);
-  for (size_t start = 0; start < indices.size();
-       start += static_cast<size_t>(trainer_config_.batch_size)) {
-    const size_t end = std::min(
-        indices.size(), start + static_cast<size_t>(
-                                    trainer_config_.batch_size));
-    std::vector<int64_t> batch(indices.begin() + static_cast<int64_t>(start),
-                               indices.begin() + static_cast<int64_t>(end));
-    VarPtr out = ForwardBatch(table, batch, &eval_rng, /*training=*/false);
-    for (int64_t r = 0; r < out->rows(); ++r) {
+  const int64_t n = static_cast<int64_t>(indices.size());
+  RELGRAPH_COUNTER_ADD("predict_examples_total", n);
+  std::vector<double> scores(static_cast<size_t>(n));
+  // The serving path: every row samples its own subgraph with
+  // SampleForServing under the salt a default InferenceEngine with this
+  // seed uses, the slice's subgraphs concatenate block-diagonally, and the
+  // forward has no dropout. A row's score is therefore a pure function of
+  // (weights, entity, cutoff): it equals what the engine serves for that
+  // entity at that cutoff and never depends on the other rows. Slices of
+  // TrainGroupSize seeds (never a function of the thread count) run across
+  // the pool, each writing only its own rows.
+  const uint64_t salt =
+      trainer_config_.seed ^ OptionsFingerprint(sampler_.options());
+  const int64_t slice = TrainGroupSize(trainer_config_.batch_size);
+  const int64_t num_slices = (n + slice - 1) / slice;
+  ThreadPool::Global().ParallelChunks(num_slices, [&](int64_t s) {
+    const int64_t lo = s * slice;
+    const int64_t hi = std::min(n, lo + slice);
+    std::vector<Subgraph> parts;
+    parts.reserve(static_cast<size_t>(hi - lo));
+    for (int64_t i = lo; i < hi; ++i) {
+      const size_t row = static_cast<size_t>(indices[static_cast<size_t>(i)]);
+      parts.push_back(sampler_.SampleForServing(
+          entity_type_, table.entity_rows[row], table.cutoffs[row], salt));
+    }
+    const VarPtr out = ForwardSampled(ConcatSubgraphs(graph_, parts),
+                                      /*rng=*/nullptr, /*training=*/false);
+    const Tensor& v = out->value();
+    for (int64_t r = 0; r < hi - lo; ++r) {
+      double& score = scores[static_cast<size_t>(lo + r)];
       switch (kind_) {
         case TaskKind::kBinaryClassification:
-          scores.push_back(1.0 /
-                           (1.0 + std::exp(-out->value().at(r, 0))));
+          score = 1.0 / (1.0 + std::exp(-v.at(r, 0)));
           break;
         case TaskKind::kRegression:
-          scores.push_back(out->value().at(r, 0) * label_std_ + label_mean_);
+          score = v.at(r, 0) * label_std_ + label_mean_;
           break;
         case TaskKind::kMulticlassClassification: {
-          // Score = probability of class 1 is meaningless here; return the
-          // max-class index as a double for convenience.
+          // The max-class index as a double (see PredictClasses).
           int64_t arg = 0;
-          for (int64_t c = 1; c < out->cols(); ++c) {
-            if (out->value().at(r, c) > out->value().at(r, arg)) arg = c;
+          for (int64_t c = 1; c < v.cols(); ++c) {
+            if (v.at(r, c) > v.at(r, arg)) arg = c;
           }
-          scores.push_back(static_cast<double>(arg));
+          score = static_cast<double>(arg);
           break;
         }
         case TaskKind::kRanking:
           break;
       }
     }
-  }
+  });
   return scores;
 }
 

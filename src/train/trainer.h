@@ -72,7 +72,8 @@ int64_t TrainGroupSize(int64_t batch_size);
 ///
 /// Training parallelism: each mini-batch step runs its seed groups (see
 /// TrainGroupSize) in one thread-pool region, then sums their gradients
-/// and takes one clipped AdamW step on the calling thread.
+/// and takes one clipped AdamW step on the calling thread. Validation and
+/// prediction score slices of the same size across the pool.
 class GnnNodePredictor {
  public:
   GnnNodePredictor(const HeteroGraph* graph, NodeTypeId entity_type,
@@ -87,6 +88,13 @@ class GnnNodePredictor {
 
   /// Scores the given examples: probability for binary, predicted value
   /// for regression. For multiclass use PredictClasses.
+  ///
+  /// Runs the serving path: each example is sampled on its own with
+  /// NeighborSampler::SampleForServing at its row cutoff, salted with
+  /// `seed ^ OptionsFingerprint(sampler options)`, so a score equals what
+  /// an InferenceEngine with the same seed serves for that entity at that
+  /// cutoff, bit for bit, and never depends on the other examples. Slices
+  /// of TrainGroupSize(batch_size) examples run across the thread pool.
   std::vector<double> PredictScores(const TrainingTable& table,
                                     const std::vector<int64_t>& indices);
 
@@ -142,9 +150,6 @@ class GnnNodePredictor {
   Status LoadWeights(const std::string& path);
 
  private:
-  VarPtr ForwardBatch(const TrainingTable& table,
-                      const std::vector<int64_t>& indices, Rng* rng,
-                      bool training);
   /// Head + encoder forward over an already-sampled subgraph.
   VarPtr ForwardSampled(const Subgraph& sg, Rng* rng, bool training);
   /// The task loss of `out` against the labels of table rows `rows`

@@ -173,6 +173,27 @@ TEST_F(ArenaTest, SteadyStateFitDoesZeroTensorHeapAllocs) {
   EXPECT_GT(after.pool_hits, before.pool_hits);
 }
 
+TEST_F(ArenaTest, SteadyStatePredictScoresDoesZeroTensorHeapAllocs) {
+  auto& pool = FloatBufferPool::Global();
+  if (!pool.enabled()) GTEST_SKIP() << "RELGRAPH_ARENA=0";
+
+  // Validation and test scoring run serving-path slices across the pool;
+  // once one pass has warmed their shapes, repeats allocate nothing.
+  auto trainer = MakeTrainer();
+  ASSERT_TRUE(trainer->LoadWeights(ckpt_path_).ok());
+  std::vector<int64_t> rows = split_->val;
+  rows.insert(rows.end(), split_->test.begin(), split_->test.end());
+  const std::vector<double> first = trainer->PredictScores(*table_, rows);
+
+  const auto before = pool.stats();
+  for (int pass = 0; pass < 3; ++pass) {
+    EXPECT_EQ(trainer->PredictScores(*table_, rows), first);
+  }
+  const auto after = pool.stats();
+  EXPECT_EQ(after.heap_allocs, before.heap_allocs)
+      << "PredictScores allocated tensors after its shapes were warmed";
+}
+
 // ------------------------------------------------------- zero-alloc: Score
 
 TEST_F(ArenaTest, WarmCacheScoreDoesZeroTensorHeapAllocs) {

@@ -203,16 +203,12 @@ TEST(TraceTest, SpansNestAcrossPoolWorkers) {
     RELGRAPH_TRACE_SPAN("dispatch");
     const int64_t parent = TraceCollector::CurrentSpanId();
     ASSERT_GE(parent, 0);
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 8; ++i) {
-      futures.push_back(Async([parent] {
-        TraceSpan span("worker_chunk", parent);
-        // A nested span inside the worker hangs off the explicit-parent
-        // span via the worker's thread-local chain.
-        RELGRAPH_TRACE_SPAN("worker_inner");
-      }));
-    }
-    for (auto& f : futures) f.get();
+    ThreadPool::Global().ParallelChunks(8, [parent](int64_t) {
+      TraceSpan span("worker_chunk", parent);
+      // A nested span inside the chunk hangs off the explicit-parent span
+      // via the running thread's thread-local chain.
+      RELGRAPH_TRACE_SPAN("worker_inner");
+    });
   }
   const auto spans = TraceCollector::Global().Snapshot();
   ASSERT_EQ(spans.size(), 17u);  // dispatch + 8 * (chunk + inner)

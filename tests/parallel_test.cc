@@ -5,12 +5,15 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/atomic_io.h"
+#include "core/metrics.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "sampler/neighbor_sampler.h"
@@ -155,12 +158,38 @@ TEST_F(ThreadPoolTest, ConcurrentRegionsDoNotQueue) {
   EXPECT_EQ(saw_other[1], 2);
 }
 
-TEST_F(ThreadPoolTest, AsyncReturnsValueInParallelAndSerialModes) {
-  for (int t : {1, 4}) {
-    ThreadPool::SetNumThreadsForTesting(t);
-    auto fut = Async([] { return 6 * 7; });
-    EXPECT_EQ(fut.get(), 42) << "threads=" << t;
-  }
+TEST_F(ThreadPoolTest, GemmRouteCountersReportWhereTheGemmRan) {
+  const bool metrics_were_on = MetricsEnabled();
+  SetMetricsEnabled(true);
+  ThreadPool::SetNumThreadsForTesting(4);
+  Counter* serial = MetricsRegistry::Global().GetCounter("gemm_serial_total");
+  Counter* pooled =
+      MetricsRegistry::Global().GetCounter("gemm_parallel_total");
+  // (serial, pooled) counter deltas across `fn`.
+  auto route = [&](const std::function<void()>& fn) {
+    const int64_t s0 = serial->value();
+    const int64_t p0 = pooled->value();
+    fn();
+    return std::make_pair(serial->value() - s0, pooled->value() - p0);
+  };
+  using Route = std::pair<int64_t, int64_t>;
+  // 64^3 multiply-adds: above the serial threshold.
+  const Tensor a = Tensor::Full(64, 64, 0.5f);
+  const Tensor b = Tensor::Full(64, 64, 0.25f);
+  const Tensor small = Tensor::Full(4, 4, 1.0f);
+  EXPECT_EQ(route([&] { (void)MatMul(a, b); }), Route(0, 1));
+  EXPECT_EQ(route([&] { (void)MatMul(small, small); }), Route(1, 0));
+  // Inside a region each GEMM runs inline on its chunk's thread, however
+  // large it is.
+  EXPECT_EQ(route([&] {
+              ThreadPool::Global().ParallelChunks(
+                  4, [&](int64_t) { (void)MatMulBT(a, b); });
+            }),
+            Route(4, 0));
+  // A serial pool runs everything on the calling thread.
+  ThreadPool::SetNumThreadsForTesting(1);
+  EXPECT_EQ(route([&] { (void)MatMulAT(a, b); }), Route(1, 0));
+  SetMetricsEnabled(metrics_were_on);
 }
 
 // ------------------------------------------------------------ rng streams

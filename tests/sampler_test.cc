@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
+#include <thread>
+#include <unordered_map>
+#include <vector>
 
+#include "core/parallel.h"
 #include "datagen/ecommerce.h"
 #include "db2graph/graph_builder.h"
 #include "sampler/negative_sampler.h"
@@ -447,6 +453,407 @@ TEST(ServingSamplerTest, ConcatOfSinglePartIsIdentity) {
       sampler.SampleForServing(users, 1, 100, OptionsFingerprint(opts));
   Subgraph merged = ConcatSubgraphs(&g, {part});
   EXPECT_TRUE(SubgraphsEqual(part, merged));
+}
+
+// ------------------------------------------------------- kernel oracle
+//
+// The sampling kernel as it was written before its flat dedup table: one
+// std::unordered_map per node type per hop, rebuilt from the frontier
+// prefix, and the chunk merge / serving concat on nested index vectors.
+// Sample, SampleForServing and ConcatSubgraphs must reproduce it bit for
+// bit: the same node order, edge order and random draws.
+
+namespace oracle {
+
+struct NodeCut {
+  int64_t node;
+  Timestamp cutoff;
+  bool operator==(const NodeCut& o) const {
+    return node == o.node && cutoff == o.cutoff;
+  }
+};
+
+struct NodeCutHash {
+  size_t operator()(const NodeCut& k) const {
+    return std::hash<int64_t>()(k.node) * 1000003ULL ^
+           std::hash<int64_t>()(k.cutoff);
+  }
+};
+
+using Dict = std::unordered_map<NodeCut, int64_t, NodeCutHash>;
+
+Subgraph Empty(const HeteroGraph& g, size_t layers) {
+  Subgraph sg;
+  sg.frontiers.resize(layers + 1);
+  sg.blocks.resize(layers);
+  for (auto& f : sg.frontiers) {
+    f.nodes.resize(static_cast<size_t>(g.num_node_types()));
+    f.cutoffs.resize(static_cast<size_t>(g.num_node_types()));
+  }
+  return sg;
+}
+
+Subgraph SampleChunk(const HeteroGraph& g, const SamplerOptions& o,
+                     NodeTypeId seed_type, const std::vector<int64_t>& seeds,
+                     const std::vector<Timestamp>& cutoffs, Rng* rng) {
+  const size_t types = static_cast<size_t>(g.num_node_types());
+  Subgraph sg = Empty(g, o.fanouts.size());
+  sg.frontiers[0].nodes[static_cast<size_t>(seed_type)] = seeds;
+  sg.frontiers[0].cutoffs[static_cast<size_t>(seed_type)] = cutoffs;
+  for (size_t layer = 0; layer < o.fanouts.size(); ++layer) {
+    const auto& cur = sg.frontiers[layer];
+    auto& next = sg.frontiers[layer + 1];
+    next.nodes = cur.nodes;
+    next.cutoffs = cur.cutoffs;
+    std::vector<Dict> local(types);
+    for (size_t t = 0; t < types; ++t) {
+      for (size_t i = 0; i < next.nodes[t].size(); ++i) {
+        local[t].emplace(NodeCut{next.nodes[t][i], next.cutoffs[t][i]},
+                         static_cast<int64_t>(i));
+      }
+    }
+    const int64_t fanout = o.fanouts[layer];
+    for (EdgeTypeId e = 0; e < g.num_edge_types(); ++e) {
+      const size_t agg_type = static_cast<size_t>(g.edge_src_type(e));
+      const size_t nbr_type = static_cast<size_t>(g.edge_dst_type(e));
+      const auto& agg_nodes = cur.nodes[agg_type];
+      if (agg_nodes.empty()) continue;
+      Subgraph::Block block;
+      block.edge_type = e;
+      for (size_t vi = 0; vi < agg_nodes.size(); ++vi) {
+        const Timestamp cutoff = cur.cutoffs[agg_type][vi];
+        std::vector<int64_t> cand_dst;
+        std::vector<Timestamp> cand_time;
+        for (int32_t seg = 0; seg < g.num_segments(e); ++seg) {
+          const int64_t* dst;
+          const Timestamp* times;
+          int64_t count;
+          g.SegmentNeighbors(e, seg, agg_nodes[vi], &dst, &times, &count);
+          for (int64_t i = 0; i < count; ++i) {
+            if (o.temporal && times[i] != kNoTimestamp &&
+                times[i] >= cutoff) {
+              continue;
+            }
+            cand_dst.push_back(dst[i]);
+            cand_time.push_back(times[i]);
+          }
+        }
+        std::vector<int64_t> reservoir(cand_dst.size());
+        for (size_t i = 0; i < reservoir.size(); ++i) {
+          reservoir[i] = static_cast<int64_t>(i);
+        }
+        if (static_cast<int64_t>(reservoir.size()) > fanout) {
+          if (o.policy == SamplePolicy::kMostRecent) {
+            std::nth_element(reservoir.begin(), reservoir.begin() + fanout,
+                             reservoir.end(), [&](int64_t a, int64_t b) {
+                               return cand_time[static_cast<size_t>(a)] >
+                                      cand_time[static_cast<size_t>(b)];
+                             });
+          } else {
+            for (int64_t i = 0; i < fanout; ++i) {
+              const int64_t j =
+                  i + static_cast<int64_t>(rng->UniformU64(
+                          static_cast<uint64_t>(
+                              static_cast<int64_t>(reservoir.size()) - i)));
+              std::swap(reservoir[static_cast<size_t>(i)],
+                        reservoir[static_cast<size_t>(j)]);
+            }
+          }
+          reservoir.resize(static_cast<size_t>(fanout));
+        }
+        for (int64_t pos : reservoir) {
+          const int64_t u = cand_dst[static_cast<size_t>(pos)];
+          auto [it, inserted] = local[nbr_type].emplace(
+              NodeCut{u, cutoff},
+              static_cast<int64_t>(next.nodes[nbr_type].size()));
+          if (inserted) {
+            next.nodes[nbr_type].push_back(u);
+            next.cutoffs[nbr_type].push_back(cutoff);
+          }
+          block.target_local.push_back(static_cast<int64_t>(vi));
+          block.source_local.push_back(it->second);
+        }
+      }
+      if (!block.target_local.empty()) {
+        sg.blocks[layer].push_back(std::move(block));
+      }
+    }
+  }
+  return sg;
+}
+
+/// The chunk merge (dedup) and the serving concat (no dedup).
+Subgraph Merge(const HeteroGraph& g, const std::vector<Subgraph>& parts,
+               bool dedup) {
+  const size_t types = static_cast<size_t>(g.num_node_types());
+  const size_t layers = parts[0].blocks.size();
+  Subgraph sg = Empty(g, layers);
+  using Map = std::vector<std::vector<std::vector<int64_t>>>;
+  Map map(parts.size(), std::vector<std::vector<int64_t>>(types));
+  for (size_t c = 0; c < parts.size(); ++c) {
+    for (size_t t = 0; t < types; ++t) {
+      for (size_t i = 0; i < parts[c].frontiers[0].nodes[t].size(); ++i) {
+        map[c][t].push_back(
+            static_cast<int64_t>(sg.frontiers[0].nodes[t].size()));
+        sg.frontiers[0].nodes[t].push_back(parts[c].frontiers[0].nodes[t][i]);
+        sg.frontiers[0].cutoffs[t].push_back(
+            parts[c].frontiers[0].cutoffs[t][i]);
+      }
+    }
+  }
+  for (size_t l = 0; l < layers; ++l) {
+    auto& next = sg.frontiers[l + 1];
+    next.nodes = sg.frontiers[l].nodes;
+    next.cutoffs = sg.frontiers[l].cutoffs;
+    std::vector<Dict> dict(types);
+    for (size_t t = 0; t < types; ++t) {
+      for (size_t i = 0; i < next.nodes[t].size(); ++i) {
+        dict[t].emplace(NodeCut{next.nodes[t][i], next.cutoffs[t][i]},
+                        static_cast<int64_t>(i));
+      }
+    }
+    Map next_map(parts.size(), std::vector<std::vector<int64_t>>(types));
+    for (size_t c = 0; c < parts.size(); ++c) {
+      for (size_t t = 0; t < types; ++t) {
+        const auto& nodes = parts[c].frontiers[l + 1].nodes[t];
+        const auto& cuts = parts[c].frontiers[l + 1].cutoffs[t];
+        const size_t prefix = parts[c].frontiers[l].nodes[t].size();
+        for (size_t i = 0; i < nodes.size(); ++i) {
+          if (i < prefix) {
+            next_map[c][t].push_back(map[c][t][i]);
+            continue;
+          }
+          const int64_t fresh = static_cast<int64_t>(next.nodes[t].size());
+          bool inserted = true;
+          int64_t pos = fresh;
+          if (dedup) {
+            auto [it, ins] = dict[t].emplace(NodeCut{nodes[i], cuts[i]}, fresh);
+            inserted = ins;
+            pos = it->second;
+          }
+          if (inserted) {
+            next.nodes[t].push_back(nodes[i]);
+            next.cutoffs[t].push_back(cuts[i]);
+          }
+          next_map[c][t].push_back(pos);
+        }
+      }
+    }
+    for (EdgeTypeId e = 0; e < g.num_edge_types(); ++e) {
+      const size_t tgt = static_cast<size_t>(g.edge_src_type(e));
+      const size_t src = static_cast<size_t>(g.edge_dst_type(e));
+      Subgraph::Block merged;
+      merged.edge_type = e;
+      for (size_t c = 0; c < parts.size(); ++c) {
+        for (const auto& b : parts[c].blocks[l]) {
+          if (b.edge_type != e) continue;
+          for (size_t k = 0; k < b.target_local.size(); ++k) {
+            merged.target_local.push_back(
+                map[c][tgt][static_cast<size_t>(b.target_local[k])]);
+            merged.source_local.push_back(
+                next_map[c][src][static_cast<size_t>(b.source_local[k])]);
+          }
+        }
+      }
+      if (!merged.target_local.empty()) {
+        sg.blocks[l].push_back(std::move(merged));
+      }
+    }
+    map = std::move(next_map);
+  }
+  return sg;
+}
+
+Subgraph Sample(const HeteroGraph& g, const SamplerOptions& o,
+                NodeTypeId seed_type, const std::vector<int64_t>& seeds,
+                const std::vector<Timestamp>& cutoffs, Rng* rng) {
+  Rng batch_rng = rng->Split();
+  const size_t chunk = static_cast<size_t>(o.parallel_chunk_seeds);
+  if (seeds.size() <= chunk) {
+    Rng chunk_rng = batch_rng.Fork(0);
+    return SampleChunk(g, o, seed_type, seeds, cutoffs, &chunk_rng);
+  }
+  std::vector<Subgraph> parts;
+  for (size_t lo = 0, c = 0; lo < seeds.size(); lo += chunk, ++c) {
+    const size_t hi = std::min(seeds.size(), lo + chunk);
+    Rng chunk_rng = batch_rng.Fork(c);
+    parts.push_back(SampleChunk(
+        g, o, seed_type,
+        std::vector<int64_t>(seeds.begin() + static_cast<int64_t>(lo),
+                             seeds.begin() + static_cast<int64_t>(hi)),
+        std::vector<Timestamp>(cutoffs.begin() + static_cast<int64_t>(lo),
+                               cutoffs.begin() + static_cast<int64_t>(hi)),
+        &chunk_rng));
+  }
+  return Merge(g, parts, /*dedup=*/true);
+}
+
+Subgraph SampleForServing(const HeteroGraph& g, const SamplerOptions& o,
+                          NodeTypeId seed_type, int64_t node,
+                          Timestamp cutoff, uint64_t salt) {
+  Rng rng(ServingSeedFingerprint(salt, node, cutoff));
+  return SampleChunk(g, o, seed_type, {node}, {cutoff}, &rng);
+}
+
+}  // namespace oracle
+
+/// An e-commerce graph whose every edge type carries three append tails
+/// after its base segment, with tail edges dated on both sides of the
+/// test cutoffs and concentrated on low node ids so tails overlap.
+HeteroGraph SegmentedGraph() {
+  ECommerceConfig cfg;
+  cfg.num_users = 70;
+  cfg.num_products = 25;
+  cfg.num_categories = 4;
+  cfg.horizon_days = 120;
+  Database db = MakeECommerceDb(cfg);
+  HeteroGraph g = BuildDbGraph(db).value().graph;
+  Rng rng(77);
+  for (int tail = 0; tail < 3; ++tail) {
+    for (EdgeTypeId e = 0; e < g.num_edge_types(); ++e) {
+      const int64_t n_src = g.num_nodes(g.edge_src_type(e));
+      const int64_t n_dst = g.num_nodes(g.edge_dst_type(e));
+      std::vector<int64_t> src, dst;
+      std::vector<Timestamp> times;
+      for (int i = 0; i < 40; ++i) {
+        src.push_back(rng.UniformInt(0, std::min<int64_t>(n_src, 20) - 1));
+        dst.push_back(rng.UniformInt(0, n_dst - 1));
+        times.push_back(Days(rng.UniformInt(1, 140)));
+      }
+      EXPECT_TRUE(g.AppendEdges(e, src, dst, times).ok());
+    }
+  }
+  for (EdgeTypeId e = 0; e < g.num_edge_types(); ++e) {
+    EXPECT_GE(g.num_segments(e), 4) << g.edge_type_name(e);
+  }
+  return g;
+}
+
+std::vector<SamplerOptions> OracleConfigs() {
+  std::vector<SamplerOptions> configs;
+  for (SamplePolicy policy :
+       {SamplePolicy::kUniform, SamplePolicy::kMostRecent}) {
+    SamplerOptions two_hop;
+    two_hop.fanouts = {4, 3};
+    two_hop.policy = policy;
+    configs.push_back(two_hop);
+    SamplerOptions three_hop;
+    three_hop.fanouts = {3, 2, 2};
+    three_hop.policy = policy;
+    three_hop.parallel_chunk_seeds = 16;
+    configs.push_back(three_hop);
+  }
+  return configs;
+}
+
+/// 150 seeds: repeats within and across chunks, three interleaved cutoffs.
+void MixedSeeds(std::vector<int64_t>* seeds, std::vector<Timestamp>* cuts) {
+  const Timestamp cutoffs[] = {Days(40), Days(90), Days(200)};
+  for (int64_t i = 0; i < 150; ++i) {
+    seeds->push_back((i * 7) % 60);
+    cuts->push_back(cutoffs[(i / 5) % 3]);
+  }
+}
+
+TEST(SamplerOracleTest, SampleMatchesOracleOnSegmentedGraph) {
+  const HeteroGraph g = SegmentedGraph();
+  const NodeTypeId users = g.FindNodeType("users").value();
+  std::vector<int64_t> seeds;
+  std::vector<Timestamp> cuts;
+  MixedSeeds(&seeds, &cuts);
+  for (const SamplerOptions& opts : OracleConfigs()) {
+    NeighborSampler sampler(&g, opts);
+    Rng got_rng(11), want_rng(11);
+    // Several draws from one stream, at sizes that fit one chunk and that
+    // span several.
+    for (size_t n : {size_t{1}, size_t{13}, seeds.size()}) {
+      const std::vector<int64_t> s(seeds.begin(),
+                                   seeds.begin() + static_cast<int64_t>(n));
+      const std::vector<Timestamp> c(cuts.begin(),
+                                     cuts.begin() + static_cast<int64_t>(n));
+      const Subgraph got = sampler.Sample(users, s, c, &got_rng);
+      const Subgraph want = oracle::Sample(g, opts, users, s, c, &want_rng);
+      EXPECT_TRUE(SubgraphsEqual(got, want))
+          << "policy " << static_cast<int>(opts.policy) << " layers "
+          << opts.fanouts.size() << " seeds " << n;
+      EXPECT_GT(got.TotalBlockEdges(), 0);
+    }
+    EXPECT_EQ(got_rng.NextU64(), want_rng.NextU64());
+  }
+}
+
+TEST(SamplerOracleTest, ServingSampleAndConcatMatchOracle) {
+  const HeteroGraph g = SegmentedGraph();
+  const NodeTypeId users = g.FindNodeType("users").value();
+  std::vector<int64_t> seeds;
+  std::vector<Timestamp> cuts;
+  MixedSeeds(&seeds, &cuts);
+  for (const SamplerOptions& opts : OracleConfigs()) {
+    NeighborSampler sampler(&g, opts);
+    const uint64_t salt = 5 ^ OptionsFingerprint(opts);
+    std::vector<Subgraph> got, want;
+    for (size_t i = 0; i < seeds.size(); ++i) {
+      got.push_back(sampler.SampleForServing(users, seeds[i], cuts[i], salt));
+      want.push_back(oracle::SampleForServing(g, opts, users, seeds[i],
+                                              cuts[i], salt));
+      ASSERT_TRUE(SubgraphsEqual(got.back(), want.back()))
+          << "policy " << static_cast<int>(opts.policy) << " seed index "
+          << i;
+    }
+    EXPECT_TRUE(SubgraphsEqual(ConcatSubgraphs(&g, got),
+                               oracle::Merge(g, want, /*dedup=*/false)));
+  }
+}
+
+TEST(SamplerOracleTest, ConcurrentSamplingMatchesSerial) {
+  // Four threads sample at once, each through its own kernel scratch;
+  // their Sample calls open chunk regions on a 4-thread pool (or run them
+  // inline when another caller holds it). Every result must equal the
+  // serial one.
+  const HeteroGraph g = SegmentedGraph();
+  const NodeTypeId users = g.FindNodeType("users").value();
+  std::vector<int64_t> seeds;
+  std::vector<Timestamp> cuts;
+  MixedSeeds(&seeds, &cuts);
+  SamplerOptions opts;
+  opts.fanouts = {4, 3};
+  opts.parallel_chunk_seeds = 32;
+  NeighborSampler sampler(&g, opts);
+  const uint64_t salt = OptionsFingerprint(opts);
+  const int pool_threads = NumThreads();
+  ThreadPool::SetNumThreadsForTesting(1);
+  std::vector<Subgraph> want_serving;
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    want_serving.push_back(
+        sampler.SampleForServing(users, seeds[i], cuts[i], salt));
+  }
+  Rng want_rng(3);
+  const Subgraph want_batch = sampler.Sample(users, seeds, cuts, &want_rng);
+
+  ThreadPool::SetNumThreadsForTesting(4);
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        Rng rng(3);
+        if (!SubgraphsEqual(sampler.Sample(users, seeds, cuts, &rng),
+                            want_batch)) {
+          ++mismatches[static_cast<size_t>(t)];
+        }
+        for (size_t i = static_cast<size_t>(t); i < seeds.size(); i += 4) {
+          if (!SubgraphsEqual(
+                  sampler.SampleForServing(users, seeds[i], cuts[i], salt),
+                  want_serving[i])) {
+            ++mismatches[static_cast<size_t>(t)];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  ThreadPool::SetNumThreadsForTesting(pool_threads);
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
 }
 
 }  // namespace

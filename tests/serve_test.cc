@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <string>
 #include <thread>
@@ -366,6 +368,101 @@ TEST_F(ServeTest, MultiSliceScoresBitIdenticalAcrossThreadCounts) {
     }
   }
   ThreadPool::SetNumThreadsForTesting(pool_threads);
+}
+
+// ------------------------------------------- offline == served (one path)
+
+/// 100 examples over all 80 users (repeats included) at `cutoff(i)`.
+TrainingTable ExampleTable(const std::function<Timestamp(int64_t)>& cutoff) {
+  TrainingTable table;
+  for (int64_t i = 0; i < 100; ++i) {
+    table.entity_rows.push_back((i * 37) % 80);
+    table.cutoffs.push_back(cutoff(i));
+    table.labels.push_back(static_cast<double>(i % 2));
+  }
+  return table;
+}
+
+std::vector<int64_t> AllRows(const TrainingTable& table) {
+  std::vector<int64_t> rows(static_cast<size_t>(table.size()));
+  std::iota(rows.begin(), rows.end(), int64_t{0});
+  return rows;
+}
+
+TEST_F(ServeTest, PredictScoresEqualServedScoresBitForBit) {
+  // The trainer's offline scores are the engine's served scores for the
+  // same entities at the engine's cutoff: same per-seed sampling salt,
+  // same concat, same forward. Checked under both sampling policies, with
+  // the engine's caches off and on, at several prediction slice sizes and
+  // pool sizes.
+  const TrainingTable table = ExampleTable([](int64_t) { return Now(); });
+  const std::vector<int64_t> rows = AllRows(table);
+  const int pool_threads = NumThreads();
+  for (SamplePolicy policy :
+       {SamplePolicy::kUniform, SamplePolicy::kMostRecent}) {
+    SamplerOptions sopts = Sampler();
+    sopts.policy = policy;
+    ServeOptions serve;
+    serve.seed = 3;  // the fixture's trainer seed
+    std::vector<double> want;
+    for (bool caches : {false, true}) {
+      serve.enable_subgraph_cache = caches;
+      serve.enable_embedding_cache = caches;
+      InferenceEngine engine(SharedGraph(dbg_), users_,
+                             TaskKind::kBinaryClassification, 2, Gnn(), sopts,
+                             Now(), serve);
+      ASSERT_TRUE(engine.LoadCheckpoint(ckpt_path_).ok());
+      for (int pass = 0; pass < (caches ? 2 : 1); ++pass) {
+        auto served = engine.Score(table.entity_rows);
+        ASSERT_TRUE(served.ok());
+        if (want.empty()) want = served.value();
+        EXPECT_EQ(served.value(), want) << "caches=" << caches;
+      }
+    }
+    for (int threads : {1, 4}) {
+      ThreadPool::SetNumThreadsForTesting(threads);
+      for (int64_t batch_size : {1, 7, 128}) {
+        TrainerConfig tc;
+        tc.seed = 3;
+        tc.batch_size = batch_size;
+        GnnNodePredictor predictor(&dbg_->graph, users_,
+                                   TaskKind::kBinaryClassification, 2, Gnn(),
+                                   sopts, tc);
+        ASSERT_TRUE(predictor.LoadWeights(ckpt_path_).ok());
+        EXPECT_EQ(predictor.PredictScores(table, rows), want)
+            << "policy=" << static_cast<int>(policy)
+            << " threads=" << threads << " batch_size=" << batch_size;
+      }
+    }
+  }
+  ThreadPool::SetNumThreadsForTesting(pool_threads);
+}
+
+TEST_F(ServeTest, PredictedScoreDoesNotDependOnBatchMates) {
+  // Mixed cutoffs and uniform sampling: a row's score is the same alone,
+  // in its batch, and with its batch-mates reordered.
+  const TrainingTable table = ExampleTable(
+      [](int64_t i) { return Now() - Days(20 * (i % 4)); });
+  const std::vector<int64_t> rows = AllRows(table);
+  SamplerOptions sopts = Sampler();
+  sopts.policy = SamplePolicy::kUniform;
+  TrainerConfig tc;
+  tc.seed = 3;
+  tc.batch_size = 16;
+  GnnNodePredictor predictor(&dbg_->graph, users_,
+                             TaskKind::kBinaryClassification, 2, Gnn(), sopts,
+                             tc);
+  ASSERT_TRUE(predictor.LoadWeights(ckpt_path_).ok());
+  const std::vector<double> all = predictor.PredictScores(table, rows);
+  ASSERT_EQ(all.size(), rows.size());
+  const std::vector<int64_t> reversed(rows.rbegin(), rows.rend());
+  const std::vector<double> backwards =
+      predictor.PredictScores(table, reversed);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(predictor.PredictScores(table, {rows[i]}).at(0), all[i])
+        << "row " << i;
+    EXPECT_EQ(backwards[rows.size() - 1 - i], all[i]) << "row " << i;
+  }
 }
 
 TEST_F(ServeTest, WarmRepeatIsBitIdenticalAndHitsCaches) {
